@@ -14,11 +14,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bdd/serialize.hpp"
 #include "core/fs_checkpoint.hpp"
 #include "rt/checkpoint.hpp"
+#include "tabulation_oracle.hpp"
 #include "tt/blif.hpp"
 #include "tt/expr.hpp"
 #include "tt/pla.hpp"
@@ -31,19 +34,46 @@ inline std::string as_text(const std::uint8_t* data, std::size_t len) {
   return std::string(reinterpret_cast<const char*>(data), len);
 }
 
+/// Accepted inputs up to this many primary inputs (2^10 assignments) are
+/// checked against the tabulation oracle.
+inline constexpr std::size_t kMaxOracleInputs = 10;
+/// The BLIF oracle recurses along the netlist and rebuilds its name maps
+/// for every assignment, so larger netlists skip the comparison.
+inline constexpr std::size_t kMaxOracleCovers = 4096;
+
 inline int one_blif(const std::uint8_t* data, std::size_t len) {
+  tt::BlifModel model;
+  std::vector<tt::TruthTable> tables;
   try {
-    tt::parse_blif(as_text(data, len));
+    model = tt::parse_blif(as_text(data, len));
+    if (model.inputs.size() > kMaxOracleInputs ||
+        model.covers.size() > kMaxOracleCovers)
+      return 0;
+    tables = model.output_tables();
   } catch (const util::CheckError&) {
+    return 0;
   }
+  // Tabulation succeeded, so every output's cone is defined and acyclic:
+  // the lazy oracle must neither throw nor disagree.
+  for (std::size_t o = 0; o < tables.size(); ++o)
+    if (tables[o] != blif_oracle_table(model, model.outputs[o]))
+      throw std::logic_error("BLIF tabulation disagrees with the oracle");
   return 0;
 }
 
 inline int one_pla(const std::uint8_t* data, std::size_t len) {
+  tt::Pla pla;
+  std::vector<tt::TruthTable> tables;
   try {
-    tt::parse_pla(as_text(data, len));
+    pla = tt::parse_pla(as_text(data, len));
+    if (static_cast<std::size_t>(pla.num_inputs) > kMaxOracleInputs) return 0;
+    tables = pla.output_tables();
   } catch (const util::CheckError&) {
+    return 0;
   }
+  for (std::size_t o = 0; o < tables.size(); ++o)
+    if (tables[o] != pla_oracle_table(pla, static_cast<int>(o)))
+      throw std::logic_error("PLA tabulation disagrees with the oracle");
   return 0;
 }
 

@@ -1,5 +1,8 @@
 #include "tt/circuit.hpp"
 
+#include <algorithm>
+
+#include "tt/word_eval.hpp"
 #include "util/check.hpp"
 
 namespace ovo::tt {
@@ -59,8 +62,65 @@ bool Circuit::eval(std::uint64_t assignment) const {
 }
 
 TruthTable Circuit::to_truth_table() const {
-  return TruthTable::tabulate(
-      num_inputs_, [this](std::uint64_t a) { return eval(a); });
+  const std::size_t out = static_cast<std::size_t>(output());
+  const std::size_t n_in = static_cast<std::size_t>(num_inputs_);
+  // Gates after the output cannot feed it (fanins precede their gate);
+  // of the rest, evaluate only the output's cone.
+  std::vector<bool> live(out + 1, false);
+  live[out] = true;
+  for (std::size_t s = out + 1; s-- > n_in;) {
+    if (!live[s]) continue;
+    const Gate& g = gates_[s - n_in];
+    live[static_cast<std::size_t>(g.a)] = true;
+    if (g.b >= 0) live[static_cast<std::size_t>(g.b)] = true;
+  }
+  const auto eval_block = [&](std::uint64_t first, std::size_t len,
+                              std::uint64_t* rows) {
+    const auto row = [&](std::size_t s) {
+      return rows + s * detail::kBlockWords;
+    };
+    for (std::size_t s = 0; s <= out; ++s) {
+      if (!live[s]) continue;
+      if (s < n_in) {
+        detail::fill_var_row(static_cast<int>(s), first, len, row(s));
+        continue;
+      }
+      const Gate& g = gates_[s - n_in];
+      const std::uint64_t* a = row(static_cast<std::size_t>(g.a));
+      // A unary gate has no second fanin; b aliases a.
+      const std::uint64_t* b =
+          g.b >= 0 ? row(static_cast<std::size_t>(g.b)) : a;
+      std::uint64_t* o = row(s);
+      switch (g.op) {
+        case GateOp::kAnd:
+          for (std::size_t i = 0; i < len; ++i) o[i] = a[i] & b[i];
+          break;
+        case GateOp::kOr:
+          for (std::size_t i = 0; i < len; ++i) o[i] = a[i] | b[i];
+          break;
+        case GateOp::kXor:
+          for (std::size_t i = 0; i < len; ++i) o[i] = a[i] ^ b[i];
+          break;
+        case GateOp::kNand:
+          for (std::size_t i = 0; i < len; ++i) o[i] = ~(a[i] & b[i]);
+          break;
+        case GateOp::kNor:
+          for (std::size_t i = 0; i < len; ++i) o[i] = ~(a[i] | b[i]);
+          break;
+        case GateOp::kXnor:
+          for (std::size_t i = 0; i < len; ++i) o[i] = ~(a[i] ^ b[i]);
+          break;
+        case GateOp::kNot:
+          for (std::size_t i = 0; i < len; ++i) o[i] = ~a[i];
+          break;
+        case GateOp::kBuf:
+          std::copy_n(a, len, o);
+          break;
+      }
+    }
+  };
+  return detail::tabulate_blocks(num_inputs_, out + 1, {out}, eval_block)
+      .front();
 }
 
 Circuit Circuit::ripple_carry_out(int operand_bits) {

@@ -36,6 +36,38 @@ long parse_count(int line_no, const std::string& tok,
   return v;
 }
 
+/// Calls sink(w, mask) for every table word w the cube touches, where
+/// `mask` is the cube's literal-AND over variables 0..5 (one 64-bit word
+/// built from the variable patterns).  The touched words are those whose
+/// index agrees with the cube's fixed literals on variables >= 6; the
+/// free high variables are enumerated as subsets with
+/// sub = (sub - free) & free.  O(n + 2^free_hi) per cube.
+template <typename Sink>
+void for_each_cube_word(const std::string& cube, int n, Sink&& sink) {
+  OVO_CHECK_MSG(static_cast<int>(cube.size()) == n,
+                "PLA: input cube has wrong width");
+  std::uint64_t mask = ~std::uint64_t{0};
+  std::uint64_t hi_care = 0, hi_val = 0;
+  for (int i = 0; i < n; ++i) {
+    const char c = cube[static_cast<std::size_t>(i)];
+    if (c == '-') continue;
+    const bool one = (c == '1');
+    if (i < 6) {
+      const std::uint64_t pattern = TruthTable::var_word(i, 0);
+      mask &= one ? pattern : ~pattern;
+    } else {
+      hi_care |= std::uint64_t{1} << (i - 6);
+      if (one) hi_val |= std::uint64_t{1} << (i - 6);
+    }
+  }
+  const std::uint64_t free = n > 6 ? util::full_mask(n - 6) & ~hi_care : 0;
+  std::uint64_t sub = 0;
+  do {
+    sink(hi_val | sub, mask);
+    sub = (sub - free) & free;
+  } while (sub != 0);
+}
+
 }  // namespace
 
 bool Pla::cube_covers(std::size_t product, std::uint64_t assignment) const {
@@ -52,18 +84,39 @@ bool Pla::cube_covers(std::size_t product, std::uint64_t assignment) const {
 
 TruthTable Pla::output_table(int output) const {
   OVO_CHECK(output >= 0 && output < num_outputs);
-  return TruthTable::tabulate(num_inputs, [&](std::uint64_t a) {
-    for (std::size_t p = 0; p < cubes.size(); ++p)
-      if (outputs[p][static_cast<std::size_t>(output)] && cube_covers(p, a))
-        return true;
-    return false;
-  });
+  OVO_CHECK(outputs.size() == cubes.size());
+  std::vector<std::uint64_t> words(TruthTable::word_count(num_inputs), 0);
+  for (std::size_t p = 0; p < cubes.size(); ++p) {
+    if (!outputs[p][static_cast<std::size_t>(output)]) continue;
+    for_each_cube_word(cubes[p], num_inputs,
+                       [&](std::uint64_t w, std::uint64_t mask) {
+                         words[w] |= mask;
+                       });
+  }
+  return TruthTable::from_words(num_inputs, std::move(words));
 }
 
 std::vector<TruthTable> Pla::output_tables() const {
+  OVO_CHECK(outputs.size() == cubes.size());
+  const std::size_t m = static_cast<std::size_t>(num_outputs);
+  std::vector<std::vector<std::uint64_t>> words(
+      m, std::vector<std::uint64_t>(TruthTable::word_count(num_inputs), 0));
+  std::vector<std::size_t> asserted;
+  for (std::size_t p = 0; p < cubes.size(); ++p) {
+    asserted.clear();
+    for (std::size_t o = 0; o < m; ++o)
+      if (outputs[p][o]) asserted.push_back(o);
+    if (asserted.empty()) continue;
+    for_each_cube_word(cubes[p], num_inputs,
+                       [&](std::uint64_t w, std::uint64_t mask) {
+                         for (const std::size_t o : asserted)
+                           words[o][w] |= mask;
+                       });
+  }
   std::vector<TruthTable> out;
-  out.reserve(static_cast<std::size_t>(num_outputs));
-  for (int o = 0; o < num_outputs; ++o) out.push_back(output_table(o));
+  out.reserve(m);
+  for (std::vector<std::uint64_t>& w : words)
+    out.push_back(TruthTable::from_words(num_inputs, std::move(w)));
   return out;
 }
 

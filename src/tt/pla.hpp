@@ -30,13 +30,14 @@ struct Pla {
   std::vector<std::vector<bool>> outputs;
 
   /// True if the cube covers the assignment (bit i of a = input i; the
-  /// cube's leftmost character is input 0).
+  /// cube's leftmost character is input 0).  The single-point reading;
+  /// output_table(s) fill whole table words cube by cube instead.
   bool cube_covers(std::size_t product, std::uint64_t assignment) const;
 
   /// ON-set truth table of one output.
   TruthTable output_table(int output) const;
 
-  /// All output tables.
+  /// All output tables, from one pass over the cubes.
   std::vector<TruthTable> output_tables() const;
 
   /// Single-output convenience: the DNF of output `output`.

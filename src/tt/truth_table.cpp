@@ -16,6 +16,16 @@ TruthTable TruthTable::from_bits(int n, const std::string& bits) {
   return t;
 }
 
+TruthTable TruthTable::from_words(int n, std::vector<std::uint64_t> words) {
+  OVO_CHECK_MSG(n >= 0 && n <= kMaxVars, "TruthTable: n out of range");
+  OVO_CHECK_MSG(words.size() == word_count(n), "from_words: wrong length");
+  TruthTable t(0);
+  t.n_ = n;
+  t.words_ = std::move(words);
+  t.clear_tail();
+  return t;
+}
+
 std::uint64_t TruthTable::count_ones() const {
   std::uint64_t total = 0;
   const std::uint64_t cells = size();
@@ -113,6 +123,7 @@ std::uint64_t TruthTable::count_distinct_subfunctions(util::Mask bottom) const {
 TruthTable TruthTable::operator~() const {
   TruthTable out(n_);
   for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = ~words_[w];
+  out.clear_tail();
   return out;
 }
 

@@ -40,6 +40,27 @@ class TruthTable {
   /// Parses a bitstring like "0110..." of length 2^n, cell 0 first.
   static TruthTable from_bits(int n, const std::string& bits);
 
+  /// Adopts packed words: bit b of words[w] is cell 64*w + b.  `words`
+  /// must hold word_count(n) words; for n < 6 the bits past cell 2^n - 1
+  /// are cleared.
+  static TruthTable from_words(int n, std::vector<std::uint64_t> words);
+
+  /// Number of 64-bit words backing an n-variable table.
+  static std::size_t word_count(int n) {
+    return n <= 6 ? 1 : (std::size_t{1} << (n - 6));
+  }
+
+  /// Word w of the projection x_v: bit b is bit v of assignment 64*w + b.
+  /// Variables 0..5 vary inside a word (0xAAAA..., 0xCCCC..., ...);
+  /// variables >= 6 are constant across a word and follow bit v-6 of w.
+  static std::uint64_t var_word(int v, std::uint64_t w) {
+    static constexpr std::uint64_t kLow[6] = {
+        0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+        0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+    OVO_DCHECK(v >= 0 && v < kMaxVars);
+    return v < 6 ? kLow[v] : std::uint64_t{0} - ((w >> (v - 6)) & 1u);
+  }
+
   int num_vars() const { return n_; }
 
   /// Number of cells, 2^n.
@@ -109,8 +130,10 @@ class TruthTable {
   std::string to_bit_string() const;
 
  private:
-  static std::size_t word_count(int n) {
-    return n <= 6 ? 1 : (std::size_t{1} << (n - 6));
+  /// Clears the bits past cell 2^n - 1 (n < 6), which every operation
+  /// keeps at zero so that == and hash() see only real cells.
+  void clear_tail() {
+    if (n_ < 6) words_[0] &= util::full_mask(1 << n_);
   }
   void check_same_shape(const TruthTable& o) const {
     OVO_CHECK_MSG(n_ == o.n_, "TruthTable: arity mismatch");

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/minimize.hpp"
 #include "core/multi_output.hpp"
 #include "tt/blif.hpp"
 #include "tt/function_zoo.hpp"
 #include "tt/parse_error.hpp"
+#include "tabulation_oracle.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace ovo::tt {
 namespace {
@@ -140,6 +146,146 @@ TEST(Blif, PipelineToOptimalOrdering) {
   EXPECT_EQ(core::shared_size_for_order(m.output_tables(),
                                         shared.order_root_first),
             shared.min_internal_nodes);
+}
+
+// --- Word-parallel tabulation vs the per-assignment oracle ---------------
+
+/// A random acyclic netlist over n inputs x0..x{n-1}: covers g0..g{k-1}
+/// with up to three fanins drawn from the inputs and earlier covers, ON-
+/// or OFF-set rows, zero-fanin constants and zero-row covers, written in
+/// shuffled order (so definitions come out of order).  The outputs are
+/// random covers plus, sometimes, a primary input.
+std::string random_blif_text(util::Xoshiro256& rng, int n) {
+  const auto input = [](std::uint64_t i) { return "x" + std::to_string(i); };
+  const std::uint64_t k = 2 + rng.below(3 * static_cast<unsigned>(n) + 4);
+  std::vector<std::string> covers;
+  for (std::uint64_t g = 0; g < k; ++g) {
+    const std::uint64_t fanins = rng.below(4);
+    std::string names = ".names";
+    for (std::uint64_t f = 0; f < fanins; ++f) {
+      const std::uint64_t pick = rng.below(static_cast<unsigned>(n) + g);
+      names += " " + (pick < static_cast<unsigned>(n)
+                          ? input(pick)
+                          : "g" + std::to_string(pick - n));
+    }
+    std::string text = names + " g" + std::to_string(g) + "\n";
+    const char out = rng.below(3) == 0 ? '0' : '1';
+    const std::uint64_t rows = rng.below(4);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      for (std::uint64_t f = 0; f < fanins; ++f)
+        text += "01-"[rng.below(3)];
+      text += fanins == 0 ? std::string(1, out) : std::string(" ") + out;
+      text += '\n';
+    }
+    covers.push_back(text);
+  }
+  for (std::size_t i = covers.size(); i > 1; --i)
+    std::swap(covers[i - 1], covers[rng.below(i)]);
+
+  std::string t = ".model rnd\n.inputs";
+  for (int i = 0; i < n; ++i) t += " " + input(static_cast<unsigned>(i));
+  t += "\n.outputs";
+  for (std::uint64_t o = 0, m = 1 + rng.below(3); o < m; ++o)
+    t += " g" + std::to_string(rng.below(k));
+  if (rng.below(4) == 0) t += " " + input(rng.below(static_cast<unsigned>(n)));
+  t += "\n";
+  for (const std::string& c : covers) t += c;
+  return t + ".end\n";
+}
+
+TEST(BlifTabulation, RandomNetlistsMatchOracle) {
+  util::Xoshiro256 rng(7);
+  for (int n = 1; n <= 12; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::string text = random_blif_text(rng, n);
+      const BlifModel m = parse_blif(text);
+      const std::vector<TruthTable> tables = m.output_tables();
+      ASSERT_EQ(tables.size(), m.outputs.size());
+      for (std::size_t o = 0; o < tables.size(); ++o) {
+        const TruthTable want = fuzz::blif_oracle_table(m, m.outputs[o]);
+        EXPECT_EQ(tables[o], want) << text;
+        EXPECT_EQ(m.output_table(m.outputs[o]), want) << text;
+      }
+    }
+  }
+}
+
+TEST(BlifTabulation, OutputThatIsAPrimaryInput) {
+  const BlifModel m = parse_blif(
+      ".inputs a b\n.outputs b f\n.names a b f\n11 1\n.end\n");
+  const std::vector<TruthTable> t = m.output_tables();
+  EXPECT_EQ(t[0], TruthTable::from_bits(2, "0011"));  // b = x1
+  EXPECT_EQ(t[1], conjunction(2));
+}
+
+TEST(BlifTabulation, ConstantAndZeroRowCovers) {
+  const BlifModel m = parse_blif(
+      ".inputs a\n.outputs one zero empty noff f\n"
+      ".names one\n1\n.names zero\n0\n.names empty\n"
+      ".names a noff\n.names a one f\n1- 0\n.end\n");
+  const std::vector<TruthTable> t = m.output_tables();
+  EXPECT_EQ(t[0], ~TruthTable(1));
+  EXPECT_EQ(t[1], TruthTable(1));
+  EXPECT_EQ(t[2], TruthTable(1));
+  EXPECT_EQ(t[3], TruthTable(1));                     // no rows: constant 0
+  EXPECT_EQ(t[4], TruthTable::from_bits(1, "10"));    // OFF-set: !a
+}
+
+TEST(BlifTabulation, DeepChainNeedsNoRecursion) {
+  std::string t = ".inputs a\n.outputs s20000\n.names a s0\n0 1\n";
+  for (int i = 1; i <= 20000; ++i)
+    t += ".names s" + std::to_string(i - 1) + " s" + std::to_string(i) +
+         "\n0 1\n";
+  const BlifModel m = parse_blif(t + ".end\n");
+  // 20001 inverters: s20000 = !a.
+  EXPECT_EQ(m.output_table("s20000"), TruthTable::from_bits(1, "10"));
+}
+
+// --- Error rule: the whole cone is checked, dead logic is not -----------
+
+TEST(BlifTabulation, UndefinedSignalInConeThrowsEvenWhenMasked) {
+  // `ghost` sits only under '-' columns: the lazy evaluator never reads
+  // it, but it is in f's cone.
+  const BlifModel dc = parse_blif(
+      ".inputs a\n.outputs f\n.names a ghost f\n1- 1\n.end\n");
+  EXPECT_TRUE(dc.eval("f", 1));
+  EXPECT_FALSE(dc.eval("f", 0));
+  EXPECT_THROW(dc.output_table("f"), util::CheckError);
+  EXPECT_THROW(dc.output_tables(), util::CheckError);
+  // A zero-row cover reads none of its fanins.
+  const BlifModel empty = parse_blif(
+      ".inputs a\n.outputs f\n.names ghost f\n.end\n");
+  EXPECT_FALSE(empty.eval("f", 0));
+  EXPECT_THROW(empty.output_table("f"), util::CheckError);
+  // An undefined output.
+  const BlifModel none = parse_blif(".inputs a\n.outputs f\n.end\n");
+  EXPECT_THROW(none.output_tables(), util::CheckError);
+}
+
+TEST(BlifTabulation, CycleInConeThrowsEvenWhenMasked) {
+  // f = a & g with g = f: the a=0 short-circuit and the '-' column mean
+  // the lazy evaluator never walks the cycle for any assignment.
+  const BlifModel m = parse_blif(
+      ".inputs a\n.outputs f\n.names a g f\n1- 1\n"
+      ".names f g\n1 1\n.end\n");
+  EXPECT_FALSE(m.eval("f", 0));
+  EXPECT_TRUE(m.eval("f", 1));
+  EXPECT_THROW(m.output_table("f"), util::CheckError);
+  // A self-loop.
+  const BlifModel self = parse_blif(
+      ".inputs a\n.outputs f\n.names a f f\n0- 1\n.end\n");
+  EXPECT_THROW(self.output_tables(), util::CheckError);
+}
+
+TEST(BlifTabulation, BadSignalsInDeadLogicAreAccepted) {
+  // p <-> q is a cycle and `dead` reads an undefined signal, but neither
+  // is in the cone of the output f.
+  const BlifModel m = parse_blif(
+      ".inputs a b\n.outputs f\n.names a b f\n11 1\n"
+      ".names q p\n1 1\n.names p q\n1 1\n.names ghost dead\n1 1\n"
+      ".end\n");
+  EXPECT_EQ(m.output_table("f"), conjunction(2));
+  EXPECT_EQ(m.output_tables().front(), conjunction(2));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "tt/circuit.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace ovo::tt {
 namespace {
@@ -92,6 +93,43 @@ TEST(Circuit, TabulateMatchesEval) {
   EXPECT_EQ(t.num_vars(), 6);
   for (std::uint64_t a = 0; a < t.size(); ++a)
     EXPECT_EQ(t.get(a), ckt.eval(a));
+}
+
+// Word-parallel to_truth_table vs the single-point eval.
+TruthTable eval_oracle(const Circuit& ckt) {
+  return TruthTable::tabulate(ckt.num_inputs(),
+                              [&](std::uint64_t a) { return ckt.eval(a); });
+}
+
+TEST(Circuit, FactoriesTabulateLikeEval) {
+  for (int k = 1; k <= 6; ++k) {
+    const Circuit carry = Circuit::ripple_carry_out(k);
+    EXPECT_EQ(carry.to_truth_table(), eval_oracle(carry)) << k;
+    const Circuit eq = Circuit::comparator_eq(k);
+    EXPECT_EQ(eq.to_truth_table(), eval_oracle(eq)) << k;
+  }
+}
+
+TEST(Circuit, RandomCircuitsTabulateLikeEval) {
+  util::Xoshiro256 rng(3);
+  for (int n = 1; n <= 12; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Circuit ckt(n);
+      const int gates = 1 + static_cast<int>(rng.below(4 * n));
+      for (int g = 0; g < gates; ++g) {
+        const GateOp op = static_cast<GateOp>(rng.below(8));
+        const std::uint64_t limit = static_cast<std::uint64_t>(n + g);
+        const int a = static_cast<int>(rng.below(limit));
+        const bool unary = op == GateOp::kNot || op == GateOp::kBuf;
+        ckt.add_gate(op, a, unary ? -1 : static_cast<int>(rng.below(limit)));
+      }
+      // Sometimes an inner gate or an input, leaving dead gates after it.
+      if (rng.coin())
+        ckt.set_output(static_cast<int>(rng.below(
+            static_cast<std::uint64_t>(n + ckt.num_gates()))));
+      EXPECT_EQ(ckt.to_truth_table(), eval_oracle(ckt)) << n << " " << trial;
+    }
+  }
 }
 
 }  // namespace

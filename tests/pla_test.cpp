@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/minimize.hpp"
 #include "core/multi_output.hpp"
 #include "tt/function_zoo.hpp"
 #include "tt/parse_error.hpp"
 #include "tt/pla.hpp"
+#include "tabulation_oracle.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace ovo::tt {
 namespace {
@@ -123,6 +127,77 @@ TEST(PlaIntegration, SharedMinimizationOfMultiOutputPla) {
   EXPECT_EQ(core::shared_size_for_order(p.output_tables(),
                                         shared.order_root_first),
             shared.min_internal_nodes);
+}
+
+// --- Word-parallel tabulation vs the per-assignment oracle ---------------
+
+/// A random PLA over n inputs and m outputs: cube characters over
+/// {0,1,-} (one '-' in four; one cube in eight all '-'), output columns
+/// over {0,1,-,~}.
+std::string random_pla_text(util::Xoshiro256& rng, int n, int m) {
+  std::string t =
+      ".i " + std::to_string(n) + "\n.o " + std::to_string(m) + "\n";
+  const std::uint64_t products = 1 + rng.below(4 * static_cast<unsigned>(n) + 4);
+  for (std::uint64_t p = 0; p < products; ++p) {
+    const bool all_dont_care = rng.below(8) == 0;
+    for (int i = 0; i < n; ++i)
+      t += all_dont_care || rng.below(4) == 0 ? '-' : (rng.coin() ? '1' : '0');
+    t += ' ';
+    for (int o = 0; o < m; ++o) t += "01-~"[rng.below(4)];
+    t += '\n';
+  }
+  return t + ".e\n";
+}
+
+TEST(PlaTabulation, RandomPlasMatchOracle) {
+  util::Xoshiro256 rng(12);
+  for (int n = 1; n <= 12; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const int m = 1 + static_cast<int>(rng.below(3));
+      const std::string text = random_pla_text(rng, n, m);
+      const Pla p = parse_pla(text);
+      const std::vector<TruthTable> tables = p.output_tables();
+      ASSERT_EQ(tables.size(), static_cast<std::size_t>(m));
+      for (int o = 0; o < m; ++o) {
+        const TruthTable want = fuzz::pla_oracle_table(p, o);
+        EXPECT_EQ(tables[static_cast<std::size_t>(o)], want) << text;
+        EXPECT_EQ(p.output_table(o), want) << text;
+      }
+    }
+  }
+}
+
+TEST(PlaTabulation, AllDontCareCubeIsTautology) {
+  for (const int n : {1, 2, 5, 6, 7, 12}) {
+    const Pla p = parse_pla(".i " + std::to_string(n) + "\n.o 1\n" +
+                            std::string(static_cast<std::size_t>(n), '-') +
+                            " 1\n.e\n");
+    const TruthTable t = p.output_table(0);
+    EXPECT_EQ(t.count_ones(), t.size()) << n;
+    // Bits past cell 2^n - 1 of a partial word stay clear.
+    EXPECT_EQ(t, ~TruthTable(n)) << n;
+  }
+}
+
+TEST(PlaTabulation, OnlyOneColumnsAssert) {
+  const Pla p = parse_pla(".i 2\n.o 4\n11 1-~0\n-1 0~-1\n.e\n");
+  const std::vector<TruthTable> t = p.output_tables();
+  EXPECT_EQ(t[0], conjunction(2));
+  EXPECT_EQ(t[1], TruthTable(2));
+  EXPECT_EQ(t[2], TruthTable(2));
+  EXPECT_EQ(t[3], TruthTable::from_bits(2, "0011"));  // x1
+}
+
+TEST(PlaTabulation, HighVariableLiteralsSelectWords) {
+  // n = 9: x6..x8 live above the word; x8=1, x6=0 selects table words
+  // 4 and 6, and the x0 literal keeps the odd cells of each.
+  const Pla p = parse_pla(".i 9\n.o 1\n1-----0-1 1\n.e\n");
+  const TruthTable t = p.output_table(0);
+  EXPECT_EQ(t.count_ones(), 64u);
+  for (std::uint64_t a = 0; a < t.size(); ++a)
+    EXPECT_EQ(t.get(a), (a & 1) == 1 && ((a >> 6) & 1) == 0 &&
+                            ((a >> 8) & 1) == 1)
+        << a;
 }
 
 }  // namespace

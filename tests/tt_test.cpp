@@ -148,6 +148,43 @@ TEST(TruthTable, LogicOperators) {
   }
 }
 
+TEST(TruthTable, FromWordsClearsPartialWordTail) {
+  for (int n = 0; n <= 8; ++n) {
+    const TruthTable t = TruthTable::from_words(
+        n, std::vector<std::uint64_t>(TruthTable::word_count(n), ~0ull));
+    EXPECT_EQ(t.count_ones(), t.size()) << n;
+    EXPECT_EQ(t, ~TruthTable(n)) << n;
+    EXPECT_EQ(t, TruthTable::tabulate(n, [](std::uint64_t) { return true; }))
+        << n;
+  }
+  EXPECT_THROW(TruthTable::from_words(7, std::vector<std::uint64_t>(1)),
+               util::CheckError);
+  EXPECT_THROW(TruthTable::from_words(27, std::vector<std::uint64_t>(1)),
+               util::CheckError);
+}
+
+TEST(TruthTable, VarWordIsTheProjection) {
+  for (int n = 1; n <= 9; ++n) {
+    for (int v = 0; v < n; ++v) {
+      std::vector<std::uint64_t> words(TruthTable::word_count(n));
+      for (std::size_t w = 0; w < words.size(); ++w)
+        words[w] = TruthTable::var_word(v, w);
+      EXPECT_EQ(TruthTable::from_words(n, std::move(words)),
+                TruthTable::tabulate(
+                    n, [v](std::uint64_t a) { return ((a >> v) & 1) != 0; }))
+          << n << " " << v;
+    }
+  }
+}
+
+TEST(TruthTable, ComplementKeepsTailClear) {
+  // ~ must not set the bits past cell 2^n - 1, or == would see them.
+  const TruthTable t = TruthTable::from_bits(2, "0110");
+  EXPECT_EQ(~t, TruthTable::from_bits(2, "1001"));
+  EXPECT_EQ(~~t, t);
+  EXPECT_EQ((~t).hash(), TruthTable::from_bits(2, "1001").hash());
+}
+
 TEST(TruthTable, HashDistinguishesAndMatches) {
   util::Xoshiro256 rng(9);
   const TruthTable a = random_function(6, rng);
