@@ -27,6 +27,15 @@ util::Mask spread_mask(util::Mask dense, const std::vector<int>& j_vars) {
   return K;
 }
 
+/// Per-thread-slot compaction scratch: the candidate table the inner loop
+/// compacts into, and the dedup table every one of those compactions
+/// resets and reuses (see compact_into).  One per slot per engine run, so
+/// it lives exactly as long as the request's DP.
+struct SlotScratch {
+  PrefixTable cand;
+  ds::UniqueTable dedup;
+};
+
 /// Shared per-subset kernel of both engines: finds the best last variable
 /// for dense subset `d` by compacting each predecessor table, writing the
 /// winner into `best` (Lemma 7's argmin; first-candidate-wins tie-break,
@@ -36,7 +45,7 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
                           const std::vector<util::Mask>& prev_dense,
                           const std::vector<int>& j_vars, DiagramKind kind,
                           const util::BinomialTable& binom, OpCounter* shard,
-                          PrefixTable& cand, PrefixTable& best,
+                          SlotScratch& sc, PrefixTable& best,
                           int* best_var_out, std::uint64_t* best_cost_out) {
   std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
   int bv = -1;
@@ -48,13 +57,14 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
     const std::uint64_t pred = binom.rank(pd);
     OVO_DCHECK(pred < prev.size() &&
                prev_dense[static_cast<std::size_t>(pred)] == pd);
-    compact_into(cand, prev[static_cast<std::size_t>(pred)],
-                 j_vars[static_cast<std::size_t>(b)], kind, shard);
-    const std::uint64_t cost = cand.mincost();
+    compact_into(sc.cand, prev[static_cast<std::size_t>(pred)],
+                 j_vars[static_cast<std::size_t>(b)], kind, shard, nullptr,
+                 &sc.dedup);
+    const std::uint64_t cost = sc.cand.mincost();
     if (cost < bc) {
       bc = cost;
       bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, cand);
+      std::swap(best, sc.cand);
     }
   });
   *best_var_out = bv;
@@ -228,7 +238,7 @@ void best_last_for_subset_sparse(util::Mask d,
                                  const ds::SparseIndex& prev_index,
                                  const std::vector<int>& j_vars,
                                  DiagramKind kind, OpCounter* shard,
-                                 PrefixTable& cand, PrefixTable& best,
+                                 SlotScratch& sc, PrefixTable& best,
                                  int* best_var_out,
                                  std::uint64_t* best_cost_out) {
   std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
@@ -237,13 +247,13 @@ void best_last_for_subset_sparse(util::Mask d,
     const util::Mask pd = d & ~(util::Mask{1} << b);
     const std::size_t pred = prev_index.rank(pd);
     if (pred == ds::SparseIndex::npos) return;  // predecessor pruned
-    compact_into(cand, prev[pred], j_vars[static_cast<std::size_t>(b)], kind,
-                 shard);
-    const std::uint64_t cost = cand.mincost();
+    compact_into(sc.cand, prev[pred], j_vars[static_cast<std::size_t>(b)],
+                 kind, shard, nullptr, &sc.dedup);
+    const std::uint64_t cost = sc.cand.mincost();
     if (cost < bc) {
       bc = cost;
       bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, cand);
+      std::swap(best, sc.cand);
     }
   });
   *best_var_out = bv;
@@ -261,7 +271,7 @@ void best_last_for_subset_gated(
     util::Mask d, const std::vector<PrefixTable>& prev,
     const std::vector<std::uint8_t>& prev_status,
     const std::vector<int>& j_vars, DiagramKind kind,
-    const util::BinomialTable& binom, OpCounter* shard, PrefixTable& cand,
+    const util::BinomialTable& binom, OpCounter* shard, SlotScratch& sc,
     PrefixTable& best, int* best_var_out, std::uint64_t* best_cost_out) {
   std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
   int bv = -1;
@@ -270,13 +280,14 @@ void best_last_for_subset_gated(
     const std::uint64_t pred = binom.rank(pd);
     OVO_DCHECK(pred < prev.size());
     if (prev_status[static_cast<std::size_t>(pred)] != kStateAlive) return;
-    compact_into(cand, prev[static_cast<std::size_t>(pred)],
-                 j_vars[static_cast<std::size_t>(b)], kind, shard);
-    const std::uint64_t cost = cand.mincost();
+    compact_into(sc.cand, prev[static_cast<std::size_t>(pred)],
+                 j_vars[static_cast<std::size_t>(b)], kind, shard, nullptr,
+                 &sc.dedup);
+    const std::uint64_t cost = sc.cand.mincost();
     if (cost < bc) {
       bc = cost;
       bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, cand);
+      std::swap(best, sc.cand);
     }
   });
   *best_var_out = bv;
@@ -326,10 +337,10 @@ FsStarResult fs_star_barrier(const PrefixTable& base, util::Mask J,
     prev_dense.push_back(util::Mask{0});
   }
 
-  // Per-thread-slot state: scratch tables so the inner loop's candidate
-  // compaction reuses one buffer per thread, and OpCounter shards merged
-  // after each layer (exact: all fields commute).
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
+  // Per-thread-slot state: scratch so the inner loop's candidate
+  // compactions reuse one table and one dedup per thread, and OpCounter
+  // shards merged after each layer (exact: all fields commute).
+  std::vector<SlotScratch> scratch(static_cast<std::size_t>(threads));
   std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
 
   const std::atomic<bool>* stop_flag =
@@ -555,7 +566,7 @@ FsStarResult fs_star_pipelined(const PrefixTable& base, util::Mask J,
     return result;
   }
 
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
+  std::vector<SlotScratch> scratch(static_cast<std::size_t>(threads));
   std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
 
   // Chained fence state: fences are serialized, so plain variables.
@@ -729,7 +740,7 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
   std::vector<PrefixTable> prev;
   std::vector<util::Mask> prev_dense;
 
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
+  std::vector<SlotScratch> scratch(static_cast<std::size_t>(threads));
   std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
   std::vector<BoundScratch> bounds(static_cast<std::size_t>(threads));
 
@@ -941,7 +952,7 @@ FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
   };
   std::vector<Layer> layers(static_cast<std::size_t>(stop_k) + 1);
 
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
+  std::vector<SlotScratch> scratch(static_cast<std::size_t>(threads));
   std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
   std::vector<BoundScratch> bounds(static_cast<std::size_t>(threads));
 
@@ -1198,8 +1209,9 @@ std::uint64_t ascending_chain_bound(const PrefixTable& base, util::Mask J,
                                     DiagramKind kind, OpCounter* ops) {
   PrefixTable cur = base;
   PrefixTable nxt;
+  ds::UniqueTable dedup;
   util::for_each_bit(J, [&](int v) {
-    compact_into(nxt, cur, v, kind, ops);
+    compact_into(nxt, cur, v, kind, ops, nullptr, &dedup);
     std::swap(cur, nxt);
   });
   return cur.mincost();

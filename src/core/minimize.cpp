@@ -47,8 +47,8 @@ namespace {
 
 std::uint64_t chain_size_impl(const PrefixTable& base,
                               const std::vector<int>& order_root_first,
-                              DiagramKind kind, PrefixTable& table,
-                              PrefixTable& next, OpCounter* ops,
+                              DiagramKind kind, ChainScratch& scratch,
+                              OpCounter* ops,
                               std::vector<std::uint64_t>* profile,
                               const rt::Governor* gov) {
   OVO_CHECK_MSG(static_cast<int>(order_root_first.size()) == base.n,
@@ -56,6 +56,8 @@ std::uint64_t chain_size_impl(const PrefixTable& base,
   OVO_CHECK_MSG(util::is_permutation(order_root_first),
                 "order not a permutation");
   if (profile != nullptr) profile->assign(order_root_first.size(), 0);
+  PrefixTable& table = scratch.cur;
+  PrefixTable& next = scratch.next;
   // Copy the base into the scratch table, reusing its cells capacity.
   table.n = base.n;
   table.vars = base.vars;
@@ -68,7 +70,8 @@ std::uint64_t chain_size_impl(const PrefixTable& base,
   for (std::size_t j = order_root_first.size(); j-- > 0;) {
     if (gov != nullptr && gov->stopped()) return kAbortedSize;
     const std::uint64_t before = table.mincost();
-    compact_into(next, table, order_root_first[j], kind, ops);
+    compact_into(next, table, order_root_first[j], kind, ops, nullptr,
+                 &scratch.dedup);
     std::swap(table, next);
     if (profile != nullptr)
       (*profile)[order_root_first.size() - 1 - j] = table.mincost() - before;
@@ -81,22 +84,20 @@ std::uint64_t chain_size(const PrefixTable& base,
                          DiagramKind kind, OpCounter* ops,
                          std::vector<std::uint64_t>* profile,
                          const rt::Governor* gov = nullptr) {
-  PrefixTable cur, next;
-  return chain_size_impl(base, order_root_first, kind, cur, next, ops,
-                         profile, gov);
+  ChainScratch scratch;
+  return chain_size_impl(base, order_root_first, kind, scratch, ops, profile,
+                         gov);
 }
 
 }  // namespace
 
 std::uint64_t diagram_size_from_base(const PrefixTable& base,
                                      const std::vector<int>& order_root_first,
-                                     DiagramKind kind,
-                                     PrefixTable& scratch_cur,
-                                     PrefixTable& scratch_next,
+                                     DiagramKind kind, ChainScratch& scratch,
                                      OpCounter* ops,
                                      const rt::Governor* gov) {
-  return chain_size_impl(base, order_root_first, kind, scratch_cur,
-                         scratch_next, ops, nullptr, gov);
+  return chain_size_impl(base, order_root_first, kind, scratch, ops, nullptr,
+                         gov);
 }
 
 std::uint64_t diagram_size_for_order(const tt::TruthTable& f,

@@ -69,17 +69,23 @@ std::uint64_t diagram_size_for_order(const tt::TruthTable& f,
                                      OpCounter* ops = nullptr,
                                      const rt::Governor* gov = nullptr);
 
+/// Reusable state of one chain evaluator: the two tables a chain
+/// ping-pongs between and the dedup table its compactions reset (see
+/// compact_into).  Keep one per thread for the life of a request; never
+/// share one between threads.
+struct ChainScratch {
+  PrefixTable cur, next;
+  ds::UniqueTable dedup;
+};
+
 /// diagram_size_for_order starting from a prebuilt TABLE_{emptyset}
-/// (`base` is copied into `scratch_cur`, never mutated) and ping-ponging
-/// between the two caller-provided scratch tables, so a caller that
-/// evaluates many orders against one function allocates nothing once the
-/// scratch capacity covers one chain.  This is the primitive under
-/// reorder::CostOracle.
+/// (`base` is copied into `scratch.cur`, never mutated) and compacting
+/// in the caller's scratch, so a caller that evaluates many orders
+/// against one function allocates nothing once the scratch capacity
+/// covers one chain.  This is the primitive under reorder::CostOracle.
 std::uint64_t diagram_size_from_base(const PrefixTable& base,
                                      const std::vector<int>& order_root_first,
-                                     DiagramKind kind,
-                                     PrefixTable& scratch_cur,
-                                     PrefixTable& scratch_next,
+                                     DiagramKind kind, ChainScratch& scratch,
                                      OpCounter* ops = nullptr,
                                      const rt::Governor* gov = nullptr);
 

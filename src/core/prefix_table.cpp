@@ -1,6 +1,7 @@
 #include "core/prefix_table.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ds/hash.hpp"
 #include "util/check.hpp"
@@ -17,13 +18,59 @@ std::size_t dedup_reserve(std::uint64_t pairs) {
   return static_cast<std::size_t>(std::min(pairs, kCap));
 }
 
+void check_compaction_var(const PrefixTable& t, int var) {
+  OVO_CHECK(var >= 0 && var < t.n);
+  OVO_CHECK_MSG((t.vars & (util::Mask{1} << var)) == 0,
+                "compact: variable already in prefix");
+}
+
+/// True when t.cells is exactly the ids next_id-|cells| .. next_id-1 in
+/// cell order, none of them a terminal.  Then every pair the sweep forms
+/// is distinct and no pair passes through (u0 != u1, and u1 != 0 because
+/// id 0 is a terminal), so the hash path would insert one node per pair
+/// in sweep order: new-table cell b gets next_id + b, for any variable
+/// and every DiagramKind.  Mismatches usually show at cell 0 (a terminal
+/// or an old id), so the scan is O(1) on most tables.
+bool is_fresh_run(const PrefixTable& t) {
+  const std::uint64_t m = t.cells.size();
+  if (m > t.next_id) return false;
+  const std::uint32_t first = t.next_id - static_cast<std::uint32_t>(m);
+  if (first < t.num_terminals) return false;
+  for (std::uint64_t i = 0; i < m; ++i)
+    if (t.cells[i] != first + i) return false;
+  return true;
+}
+
+/// The dedup table for one compaction of `pairs` pairs: the caller's
+/// scratch reset to a fresh table's size, or `local` when there is none.
+ds::UniqueTable& dedup_for(ds::UniqueTable* scratch, ds::UniqueTable& local,
+                           std::uint64_t pairs) {
+  if (scratch == nullptr) {
+    local.reserve(dedup_reserve(pairs));
+    return local;
+  }
+  scratch->reset(dedup_reserve(pairs));
+  return *scratch;
+}
+
+/// Accounts one finished compaction of `t`.  A fast-path compaction
+/// (`dedup` null) made no lookups but still inserted one node per pair.
+void count_compaction(OpCounter* ops, const PrefixTable& t,
+                      const ds::UniqueTable* dedup) {
+  if (ops == nullptr) return;
+  ops->table_cells += t.cells.size();
+  ++ops->compactions;
+  if (dedup != nullptr)
+    ops->dedup += dedup->stats();
+  else
+    ops->dedup.inserts += t.cells.size() >> 1;
+}
+
 /// Shared cell sweep for compact() / compaction_width(). Emit receives
 /// (dense cell index in the new table, u0, u1) for every new-table cell.
 template <typename Emit>
 void sweep_pairs(const PrefixTable& t, int var, Emit&& emit) {
-  OVO_CHECK(var >= 0 && var < t.n);
   const util::Mask bit = util::Mask{1} << var;
-  OVO_CHECK_MSG((t.vars & bit) == 0, "compact: variable already in prefix");
   const util::Mask free = t.free_mask();
   // Rank of `var` among the free variables (ascending index) = its bit
   // position within the dense cell index.
@@ -93,15 +140,25 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
 }
 
 void compact_into(PrefixTable& out, const PrefixTable& t, int var,
-                  DiagramKind kind, OpCounter* ops, rt::Governor* gov) {
+                  DiagramKind kind, OpCounter* ops, rt::Governor* gov,
+                  ds::UniqueTable* scratch) {
   OVO_DCHECK(&out != &t);
+  check_compaction_var(t, var);
   if (gov != nullptr) gov->charge(t.cells.size());
+  const std::uint64_t half = t.cells.size() >> 1;
   out.n = t.n;
   out.vars = t.vars | (util::Mask{1} << var);
   out.num_terminals = t.num_terminals;
   out.next_id = t.next_id;
-  out.cells.resize(t.cells.size() >> 1);
-  ds::UniqueTable dedup(dedup_reserve(t.cells.size() >> 1));
+  out.cells.resize(half);
+  if (is_fresh_run(t)) {
+    std::iota(out.cells.begin(), out.cells.end(), out.next_id);
+    out.next_id += static_cast<std::uint32_t>(half);
+    count_compaction(ops, t, nullptr);
+    return;
+  }
+  ds::UniqueTable local;
+  ds::UniqueTable& dedup = dedup_for(scratch, local, half);
   sweep_pairs(t, var, [&](std::uint64_t b, std::uint32_t u0,
                           std::uint32_t u1) {
     if (cell_passes_through(kind, u0, u1)) {
@@ -113,27 +170,27 @@ void compact_into(PrefixTable& out, const PrefixTable& t, int var,
     if (inserted) ++out.next_id;
     out.cells[b] = id;
   });
-  if (ops != nullptr) {
-    ops->table_cells += t.cells.size();
-    ++ops->compactions;
-    ops->dedup += dedup.stats();
-  }
+  count_compaction(ops, t, &dedup);
 }
 
 std::uint64_t compaction_width(const PrefixTable& t, int var,
-                               DiagramKind kind, OpCounter* ops) {
-  ds::UniqueTable dedup(dedup_reserve(t.cells.size() >> 1));
+                               DiagramKind kind, OpCounter* ops,
+                               ds::UniqueTable* scratch) {
+  check_compaction_var(t, var);
+  const std::uint64_t half = t.cells.size() >> 1;
+  if (is_fresh_run(t)) {
+    count_compaction(ops, t, nullptr);
+    return half;
+  }
+  ds::UniqueTable local;
+  ds::UniqueTable& dedup = dedup_for(scratch, local, half);
   sweep_pairs(t, var,
               [&](std::uint64_t, std::uint32_t u0, std::uint32_t u1) {
                 if (cell_passes_through(kind, u0, u1)) return;
                 dedup.find_or_insert(ds::pack_pair(u0, u1),
                                      static_cast<std::uint32_t>(dedup.size()));
               });
-  if (ops != nullptr) {
-    ops->table_cells += t.cells.size();
-    ++ops->compactions;
-    ops->dedup += dedup.stats();
-  }
+  count_compaction(ops, t, &dedup);
   return dedup.size();
 }
 

@@ -194,13 +194,25 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
 /// allocation once out's capacity covers |TABLE_I| / 2).  The workhorse
 /// of the DP inner loop and the chain evaluator, where a fresh table per
 /// compaction would churn the allocator.  `out` must not alias `t`.
+///
+/// Two paths, one result.  When t.cells is a *fresh run* — exactly the
+/// ids next_id-|TABLE_I| .. next_id-1 in cell order, none a terminal —
+/// every pair is a new node, so cell b gets next_id + b with no lookup
+/// (ops->dedup counts the inserts but no lookups or probes).  Otherwise
+/// pairs are deduplicated in `scratch`, reset per call to the size a
+/// fresh table would have (same ids and ds.unique.* counts as one), or
+/// in a table local to the call when `scratch` is null.  Callers that
+/// compact repeatedly keep one scratch per thread for a request.
 void compact_into(PrefixTable& out, const PrefixTable& t, int var,
                   DiagramKind kind, OpCounter* ops = nullptr,
-                  rt::Governor* gov = nullptr);
+                  rt::Governor* gov = nullptr,
+                  ds::UniqueTable* scratch = nullptr);
 
 /// The width Cost_var(f, pi_{(I,var)}) this compaction would add, without
-/// materializing the new table (same cost; used when only the size matters).
+/// materializing the new table (same cost and the same two paths as
+/// compact_into; used when only the size matters).
 std::uint64_t compaction_width(const PrefixTable& t, int var,
-                               DiagramKind kind, OpCounter* ops = nullptr);
+                               DiagramKind kind, OpCounter* ops = nullptr,
+                               ds::UniqueTable* scratch = nullptr);
 
 }  // namespace ovo::core

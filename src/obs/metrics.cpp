@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <thread>
 
 #ifndef OVO_GIT_DESCRIBE
 #define OVO_GIT_DESCRIBE "unknown"
@@ -103,6 +104,8 @@ void append_run_info_json(std::string& s, int threads) {
   append_json_str(s, "build", build_type());
   append_json_u64(s, "threads",
                   threads < 0 ? 0 : static_cast<std::uint64_t>(threads));
+  append_json_u64(s, "hardware_concurrency",
+                  std::thread::hardware_concurrency());
 }
 
 const char* build_git_describe() { return OVO_GIT_DESCRIBE; }

@@ -344,8 +344,10 @@ void append_metrics_json(std::string& s, const Ledger& l,
 void append_counters_json(std::string& s, const Ledger& l);
 
 /// Run-context block: `,"schema_version":N,"git":"...","build":"...",
-/// "threads":N`.  Same fields in every artifact (satellite of the obs
-/// refactor: artifacts must be attributable to a build).
+/// "threads":N,"hardware_concurrency":N`.  Same fields in every artifact,
+/// so each is attributable to a build and a machine
+/// (hardware_concurrency is std::thread::hardware_concurrency(), 0 when
+/// unknown).
 void append_run_info_json(std::string& s, int threads);
 
 /// Build provenance baked in at configure time (git describe, build

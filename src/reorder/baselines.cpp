@@ -35,7 +35,7 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
   // inside a chunk and across chunks, which combine in rank order) keep
   // the first lexicographic minimizer, matching the serial sweep exactly.
   // The memo is bypassed — all n! orders are distinct — but every chunk
-  // shares the oracle's base table and keeps its own scratch pair.
+  // shares the oracle's base table and keeps its own chain scratch.
   struct ChunkBest {
     std::uint64_t best_rank = 0;
     std::uint64_t best_size = std::numeric_limits<std::uint64_t>::max();
@@ -48,11 +48,11 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
       ChunkBest{},
       [&](std::uint64_t b, std::uint64_t e) {
         ChunkBest c;
-        core::PrefixTable cur, next;
+        core::ChainScratch scratch;
         std::vector<int> order = util::permutation_unrank(n, b);
         for (std::uint64_t r = b; r < e; ++r) {
           const std::uint64_t s = core::diagram_size_from_base(
-              oracle.base(), order, oracle.kind(), cur, next, &c.ops);
+              oracle.base(), order, oracle.kind(), scratch, &c.ops);
           if (s < c.best_size) {
             c.best_size = s;
             c.best_rank = r;

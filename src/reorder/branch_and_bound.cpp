@@ -158,12 +158,13 @@ std::uint64_t greedy_descent(const PrefixTable& root, DiagramKind kind,
                              std::vector<int>* chain_bottom_up) {
   PrefixTable t = root;
   PrefixTable cand, best_child;
+  ds::UniqueTable dedup;
   chain_bottom_up->clear();
   while (t.free_count() > 0) {
     std::uint64_t best_cost = ~std::uint64_t{0};
     int best_var = -1;
     util::for_each_bit(t.free_mask(), [&](int v) {
-      compact_into(cand, t, v, kind);
+      compact_into(cand, t, v, kind, nullptr, nullptr, &dedup);
       if (cand.mincost() < best_cost) {
         best_cost = cand.mincost();
         best_var = v;

@@ -79,9 +79,9 @@ ExactWindowResult exact_window(CostOracle& oracle, std::vector<int> order,
   {
     // Verify the incremental bookkeeping against a fresh chain — outside
     // the oracle, so debug builds report the same stats as release ones.
-    core::PrefixTable dcur, dnext;
+    core::ChainScratch dscratch;
     OVO_DCHECK(core::diagram_size_from_base(oracle.base(), order,
-                                            oracle.kind(), dcur, dnext) ==
+                                            oracle.kind(), dscratch) ==
                r.internal_nodes);
   }
 #endif

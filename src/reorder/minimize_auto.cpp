@@ -24,11 +24,13 @@ namespace {
 void greedy_complete(core::PrefixTable& t, core::DiagramKind kind,
                      std::vector<int>* order_bottom_up,
                      core::OpCounter* ops) {
+  ds::UniqueTable dedup;
   while (t.free_count() > 0) {
     std::uint64_t best_width = ~std::uint64_t{0};
     int best_var = -1;
     util::for_each_bit(t.free_mask(), [&](int v) {
-      const std::uint64_t w = core::compaction_width(t, v, kind, ops);
+      const std::uint64_t w =
+          core::compaction_width(t, v, kind, ops, &dedup);
       if (w < best_width) {
         best_width = w;
         best_var = v;

@@ -62,8 +62,7 @@ std::uint64_t CostOracle::size_for_order(
   OVO_TRACE_SPAN_ARGS("oracle.eval", "oracle", 0, "vars",
                       base_.n, nullptr, 0);
   const std::uint64_t s = core::diagram_size_from_base(
-      base_, order_root_first, kind_, scratch_cur_, scratch_next_,
-      &stats_.ops, gov);
+      base_, order_root_first, kind_, scratch_, &stats_.ops, gov);
   if (s == core::kAbortedSize) return s;  // hard stop: do not memoize
   ++stats_.evals;
   if (keyed && s <= std::numeric_limits<std::uint32_t>::max())
@@ -98,9 +97,9 @@ std::vector<std::uint64_t> CostOracle::sizes_for_orders(
   }
 
   // Fan the misses out, one candidate per chunk by default; per-slot
-  // scratch tables and OpCounter shards, merged commutatively.
+  // chain scratch and OpCounter shards, merged commutatively.
   struct Scratch {
-    core::PrefixTable cur, next;
+    core::ChainScratch chain;
     core::OpCounter ops;
   };
   const int threads = ctx.exec.resolved_threads();
@@ -117,7 +116,7 @@ std::vector<std::uint64_t> CostOracle::sizes_for_orders(
         const std::size_t i =
             static_cast<std::size_t>(misses[static_cast<std::size_t>(j)]);
         sizes[i] = core::diagram_size_from_base(base_, candidates[i], kind_,
-                                                sc.cur, sc.next, &sc.ops, gov);
+                                                sc.chain, &sc.ops, gov);
       });
   for (const Scratch& sc : scratch) stats_.ops += sc.ops;
 

@@ -3,8 +3,9 @@
 // candidate reading orders through one CostOracle, which owns
 //
 //  * the base prefix table TABLE_{emptyset} (built once per function),
-//  * the compact_into ping-pong scratch buffers (no allocation per
-//    evaluation once their capacity covers one chain),
+//  * the chain-evaluation scratch — compact_into ping-pong tables and
+//    dedup table (no allocation per evaluation once their capacity
+//    covers one chain),
 //  * an order-keyed memo cache (ovo::ds::ComputedCache) so repeated
 //    candidates across sift passes, windows, restarts, and ladder stages
 //    are evaluated once, and
@@ -94,7 +95,7 @@ class CostOracle {
   core::PrefixTable base_;
   int bits_per_var_ = 0;  ///< 0 = memo disabled (packed order > 96 bits)
   ds::ComputedCache memo_;
-  core::PrefixTable scratch_cur_, scratch_next_;
+  core::ChainScratch scratch_;
   OracleStats stats_;
 };
 

@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "bdd/manager.hpp"
 #include "core/fs_star.hpp"
@@ -107,6 +109,202 @@ TEST(PrefixTable, MtbddInitialTableInternsValues) {
   EXPECT_EQ(p.cells[0], 0u);
   EXPECT_EQ(p.cells[2], 1u);
   EXPECT_EQ(p.cells[3], 2u);
+}
+
+// --- compaction fast path and reusable dedup ---------------------------------
+
+/// The paper's COMPACT written independently of prefix_table.cpp: pairs
+/// are formed by explicit bit insertion and deduplicated in a std::map,
+/// one new id per first-seen pair in new-cell order.
+PrefixTable reference_compact(const PrefixTable& t, int var,
+                              DiagramKind kind) {
+  int pos = 0;  // rank of var among the free variables
+  for (int v = 0; v < var; ++v)
+    if (((t.vars >> v) & 1) == 0) ++pos;
+  PrefixTable out = t;
+  out.vars |= util::Mask{1} << var;
+  out.cells.assign(t.cells.size() / 2, 0);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> nodes;
+  for (std::uint64_t b = 0; b < out.cells.size(); ++b) {
+    const std::uint64_t lo = b & ((std::uint64_t{1} << pos) - 1);
+    const std::uint64_t idx0 = ((b >> pos) << (pos + 1)) | lo;
+    const std::uint32_t u0 = t.cells[idx0];
+    const std::uint32_t u1 = t.cells[idx0 | (std::uint64_t{1} << pos)];
+    const bool passes = kind == DiagramKind::kZdd ? u1 == 0 : u0 == u1;
+    if (passes) {
+      out.cells[b] = u0;
+      continue;
+    }
+    const auto [it, inserted] = nodes.emplace(std::make_pair(u0, u1),
+                                              out.next_id);
+    if (inserted) ++out.next_id;
+    out.cells[b] = it->second;
+  }
+  return out;
+}
+
+/// A table whose cells are the ids first .. first+|cells|-1 in order.
+PrefixTable fresh_run_table(int n, util::Mask vars,
+                            std::uint32_t num_terminals,
+                            std::uint32_t first) {
+  PrefixTable t;
+  t.n = n;
+  t.vars = vars;
+  t.num_terminals = num_terminals;
+  t.cells.resize(std::size_t{1} << t.free_count());
+  std::iota(t.cells.begin(), t.cells.end(), first);
+  t.next_id = first + static_cast<std::uint32_t>(t.cells.size());
+  return t;
+}
+
+struct FastPathCase {
+  const char* name;
+  DiagramKind kind;
+  PrefixTable table;
+  bool fresh;  ///< expected to take the lookup-free path
+};
+
+std::vector<FastPathCase> fast_path_cases() {
+  std::vector<FastPathCase> cs;
+  const auto add = [&](const char* name, DiagramKind kind, PrefixTable t,
+                       bool fresh) {
+    cs.push_back({name, kind, std::move(t), fresh});
+  };
+  // Fresh runs: every DiagramKind, gaps below the run, MTBDD with five
+  // terminals, a prefix already compacted.
+  add("bdd_fresh", DiagramKind::kBdd, fresh_run_table(5, 0, 2, 2), true);
+  add("bdd_fresh_gap", DiagramKind::kBdd,
+      fresh_run_table(6, 0b100100, 2, 40), true);
+  add("zdd_fresh", DiagramKind::kZdd, fresh_run_table(5, 0b10, 2, 7), true);
+  add("mtbdd_fresh", DiagramKind::kMtbdd, fresh_run_table(4, 0, 5, 5), true);
+  add("mtbdd_fresh_gap", DiagramKind::kMtbdd,
+      fresh_run_table(5, 0b1000, 5, 11), true);
+  // Near misses: each breaks one clause of the condition.
+  PrefixTable repeated = fresh_run_table(5, 0, 2, 2);
+  repeated.cells[3] = repeated.cells[2];
+  add("bdd_repeated_id", DiagramKind::kBdd, repeated, false);
+  PrefixTable terminal = fresh_run_table(5, 0, 2, 2);
+  terminal.cells[5] = 1;
+  add("bdd_terminal_cell", DiagramKind::kBdd, terminal, false);
+  add("mtbdd_run_from_terminal", DiagramKind::kMtbdd,
+      fresh_run_table(4, 0, 5, 3), false);
+  PrefixTable short_end = fresh_run_table(5, 0, 2, 4);
+  ++short_end.next_id;  // run ends at next_id - 2
+  add("bdd_run_short_of_next_id", DiagramKind::kBdd, short_end, false);
+  PrefixTable zdd_zero = fresh_run_table(5, 0b10, 2, 7);
+  zdd_zero.cells[6] = 0;
+  add("zdd_holds_id_0", DiagramKind::kZdd, zdd_zero, false);
+  PrefixTable reversed = fresh_run_table(4, 0, 2, 2);
+  std::reverse(reversed.cells.begin(), reversed.cells.end());
+  add("bdd_run_out_of_order", DiagramKind::kBdd, reversed, false);
+  return cs;
+}
+
+TEST(CompactFastPath, MatchesReferenceOnFreshRunsAndNearMisses) {
+  for (const FastPathCase& c : fast_path_cases()) {
+    SCOPED_TRACE(c.name);
+    const PrefixTable& t = c.table;
+    util::for_each_bit(t.free_mask(), [&](int v) {
+      SCOPED_TRACE(v);
+      const PrefixTable want = reference_compact(t, v, c.kind);
+      OpCounter ops;
+      PrefixTable got;
+      compact_into(got, t, v, c.kind, &ops);
+      EXPECT_EQ(got.cells, want.cells);
+      EXPECT_EQ(got.next_id, want.next_id);
+      EXPECT_EQ(got.vars, want.vars);
+      EXPECT_EQ(got.num_terminals, want.num_terminals);
+      // The fast path makes no lookups; every near miss hashes its pairs.
+      // Inserts count created nodes on both paths.
+      if (c.fresh)
+        EXPECT_EQ(ops.dedup.lookups, 0u);
+      else
+        EXPECT_GT(ops.dedup.lookups, 0u);
+      EXPECT_EQ(ops.dedup.inserts, want.next_id - t.next_id);
+      EXPECT_EQ(ops.table_cells, t.cells.size());
+      EXPECT_EQ(ops.compactions, 1u);
+
+      ds::UniqueTable scratch;
+      PrefixTable via_scratch;
+      compact_into(via_scratch, t, v, c.kind, nullptr, nullptr, &scratch);
+      EXPECT_EQ(via_scratch.cells, want.cells);
+      EXPECT_EQ(via_scratch.next_id, want.next_id);
+
+      OpCounter width_ops;
+      EXPECT_EQ(compaction_width(t, v, c.kind, &width_ops),
+                want.next_id - t.next_id);
+      EXPECT_EQ(compaction_width(t, v, c.kind, nullptr, &scratch),
+                want.next_id - t.next_id);
+      EXPECT_EQ(width_ops.dedup.lookups, ops.dedup.lookups);
+      EXPECT_EQ(width_ops.dedup.inserts, ops.dedup.inserts);
+    });
+  }
+}
+
+TEST(CompactFastPath, FreshRunsChainAlongAWholeOrder) {
+  // Compacting a fresh run yields a fresh run, so a whole chain stays on
+  // the fast path and creates one node per pair: 2^m - 1 nodes in all.
+  PrefixTable t = fresh_run_table(6, 0, 2, 2);
+  OpCounter ops;
+  for (const int v : {3, 0, 5, 1, 4, 2}) t = compact(t, v, DiagramKind::kBdd,
+                                                     &ops);
+  EXPECT_EQ(t.cells.size(), 1u);
+  EXPECT_EQ(t.next_id, 2u + 64u + 63u);
+  EXPECT_EQ(ops.dedup.lookups, 0u);
+  EXPECT_EQ(ops.dedup.inserts, 63u);
+}
+
+void expect_table_stats_equal(const ds::TableStats& a,
+                              const ds::TableStats& b) {
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.resizes, b.resizes);
+  EXPECT_EQ(a.probes, b.probes);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.probe_hist[i], b.probe_hist[i]);
+}
+
+TEST(CompactScratch, ReuseAcrossSizesMatchesScratchlessCalls) {
+  // One scratch through large -> small -> large compactions.  The large
+  // table has ~131K distinct pairs, past the 64K reserve clamp, so the
+  // scratch also grows (and counts resizes) after a reset.
+  util::Xoshiro256 rng(11);
+  const auto random_ids = [&](int n, std::uint32_t next_id) {
+    PrefixTable t;
+    t.n = n;
+    t.next_id = next_id;
+    t.cells.resize(std::size_t{1} << n);
+    for (std::uint32_t& c : t.cells)
+      c = static_cast<std::uint32_t>(rng.below(next_id));
+    return t;
+  };
+  const PrefixTable large = random_ids(18, 400000);
+  const PrefixTable small = initial_table(tt::random_function(6, rng));
+  const PrefixTable large2 = random_ids(17, 90000);
+  ds::UniqueTable scratch;
+  int step = 0;
+  for (const PrefixTable* t : {&large, &small, &large2, &small, &large}) {
+    SCOPED_TRACE(step++);
+    for (const DiagramKind kind : {DiagramKind::kBdd, DiagramKind::kZdd}) {
+      const int v = step % t->n;
+      OpCounter with, without;
+      PrefixTable a, b;
+      compact_into(a, *t, v, kind, &with, nullptr, &scratch);
+      compact_into(b, *t, v, kind, &without);
+      EXPECT_EQ(a.cells, b.cells);
+      EXPECT_EQ(a.next_id, b.next_id);
+      expect_table_stats_equal(with.dedup, without.dedup);
+      OpCounter wwith, wwithout;
+      EXPECT_EQ(compaction_width(*t, v, kind, &wwith, &scratch),
+                compaction_width(*t, v, kind, &wwithout));
+      expect_table_stats_equal(wwith.dedup, wwithout.dedup);
+    }
+  }
+  // The large tables really exercised growth.
+  OpCounter ops;
+  PrefixTable out;
+  compact_into(out, large, 0, DiagramKind::kBdd, &ops, nullptr, &scratch);
+  EXPECT_GT(ops.dedup.resizes, 0u);
 }
 
 // --- Lemma 3: width depends only on the prefix set --------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
 #include <set>
 #include <unordered_set>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "ds/hash.hpp"
 #include "ds/node_arena.hpp"
 #include "ds/unique_table.hpp"
+#include "rt/fault.hpp"
 #include "util/rng.hpp"
 
 namespace ovo::ds {
@@ -96,6 +98,107 @@ TEST(UniqueTable, CountersTrackLookupsAndHits) {
   std::uint64_t hist_total = 0;
   for (const std::uint64_t b : s.probe_hist) hist_total += b;
   EXPECT_EQ(hist_total, s.lookups);
+}
+
+void expect_same_stats(const TableStats& a, const TableStats& b) {
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.resizes, b.resizes);
+  EXPECT_EQ(a.probes, b.probes);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.probe_hist[i], b.probe_hist[i]);
+}
+
+TEST(UniqueTable, ResetFromLargerUseMatchesFreshTable) {
+  // Fill a table well past the target size, reset it, and replay one key
+  // sequence (repeats included, growing past the reserved size) against
+  // the reset table and a fresh one: same ids, same counters, same
+  // active slot count at every step.
+  UniqueTable reused(20000);
+  util::Xoshiro256 fill(5);
+  for (std::uint32_t i = 0; i < 20000; ++i)
+    reused.find_or_insert(fill(), i);
+  const std::size_t kExpected = 100;
+  reused.reset(kExpected);
+  UniqueTable fresh(kExpected);
+  EXPECT_EQ(reused.size(), 0u);
+  EXPECT_EQ(reused.capacity(), fresh.capacity());
+  expect_same_stats(reused.stats(), fresh.stats());
+
+  util::Xoshiro256 keys(9);
+  for (std::uint32_t i = 0; i < 1500; ++i) {
+    const std::uint64_t key = pack_pair(
+        static_cast<std::uint32_t>(keys.below(40)),
+        static_cast<std::uint32_t>(keys.below(40)));
+    const auto r = reused.find_or_insert(key, i);
+    const auto f = fresh.find_or_insert(key, i);
+    ASSERT_EQ(r, f) << "step " << i;
+    ASSERT_EQ(reused.capacity(), fresh.capacity()) << "step " << i;
+  }
+  EXPECT_EQ(reused.find(pack_pair(99, 99)), fresh.find(pack_pair(99, 99)));
+  EXPECT_EQ(reused.size(), fresh.size());
+  expect_same_stats(reused.stats(), fresh.stats());
+  EXPECT_GT(fresh.stats().resizes, 0u);  // the sequence outgrew kExpected
+  EXPECT_GT(fresh.stats().hits, 0u);
+}
+
+TEST(UniqueTable, ResetOfEmptyAndDefaultTablesMatchesFresh) {
+  UniqueTable never_used;
+  never_used.reset(0);
+  EXPECT_EQ(never_used.capacity(), UniqueTable(0).capacity());
+  UniqueTable grows;
+  grows.reset(5000);  // more slots than ever allocated: allocates
+  EXPECT_EQ(grows.capacity(), UniqueTable(5000).capacity());
+  grows.reset(3);
+  EXPECT_EQ(grows.capacity(), UniqueTable(3).capacity());
+  EXPECT_EQ(grows.find(1), nullptr);
+}
+
+TEST(UniqueTable, AllocFaultDuringGrowthAfterResetLeavesTableUsable) {
+  UniqueTable t(10000);
+  for (std::uint32_t i = 0; i < 5000; ++i) t.find_or_insert(i, i);
+  t.reset(8);  // 16 active slots; growth past 11 entries rehashes
+  std::uint32_t inserted = 0;
+  {
+    rt::FaultPlan plan;
+    plan.fail_alloc_at = 1;
+    rt::ScopedFaultPlan scoped(plan);
+    try {
+      for (; inserted < 100; ++inserted)
+        t.find_or_insert(pack_pair(inserted, 7), inserted);
+      FAIL() << "growth did not reach the allocation hook";
+    } catch (const std::bad_alloc&) {
+      // expected: the hook throws before any state changes
+    }
+    EXPECT_EQ(scoped.allocations_seen(), 1u);
+  }
+  EXPECT_EQ(inserted, 11u);
+  EXPECT_EQ(t.size(), 11u);
+  EXPECT_EQ(t.capacity(), 16u);
+  for (std::uint32_t i = 0; i < inserted; ++i) {
+    ASSERT_NE(t.find(pack_pair(i, 7)), nullptr);
+    EXPECT_EQ(*t.find(pack_pair(i, 7)), i);
+  }
+  // With the plan gone the same insertion grows and carries on.
+  for (std::uint32_t i = inserted; i < 100; ++i)
+    EXPECT_TRUE(t.find_or_insert(pack_pair(i, 7), i).second);
+  EXPECT_EQ(t.size(), 100u);
+  for (std::uint32_t i = 0; i < 100; ++i)
+    EXPECT_EQ(*t.find(pack_pair(i, 7)), i);
+  // reset() is itself one allocation event; a fault there throws before
+  // the table changes.
+  {
+    rt::FaultPlan plan;
+    plan.fail_alloc_at = 1;
+    rt::ScopedFaultPlan scoped(plan);
+    EXPECT_THROW(t.reset(8), std::bad_alloc);
+  }
+  EXPECT_EQ(t.size(), 100u);
+  EXPECT_EQ(*t.find(pack_pair(42, 7)), 42u);
+  // A reset after the faults is a fresh table again.
+  t.reset(8);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.find(pack_pair(0, 7)), nullptr);
 }
 
 TEST(ComputedCache, StoreLookupRoundTrip) {

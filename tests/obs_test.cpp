@@ -131,6 +131,38 @@ TEST(ObsLedger, LegacyViewRoundTripsThroughLedger) {
   EXPECT_EQ(a.prune.upper_bound, 17u);  // kMax
 }
 
+TEST(ObsLedger, TableStatsFoldMatchesLedgerMerge) {
+  // TableStats::operator+= sums field by field instead of round-tripping
+  // through the ledger; pin it to the registry's merge on random values.
+  util::Xoshiro256 rng(23);
+  const auto random_stats = [&] {
+    ds::TableStats t;
+    t.lookups = rng.below(std::uint64_t{1} << 62);
+    t.hits = rng.below(std::uint64_t{1} << 62);
+    t.inserts = rng.below(std::uint64_t{1} << 62);
+    t.resizes = rng.below(64);
+    t.probes = rng.below(std::uint64_t{1} << 62);
+    for (std::uint64_t& b : t.probe_hist) b = rng.below(std::uint64_t{1} << 62);
+    return t;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    const ds::TableStats a = random_stats();
+    const ds::TableStats b = random_stats();
+    ds::TableStats folded = a;
+    folded += b;
+    Ledger la, lb;
+    a.to_ledger(la);
+    b.to_ledger(lb);
+    ds::TableStats merged;
+    merged.from_ledger(la.merge(lb));
+    Ledger lf;
+    folded.to_ledger(lf);
+    Ledger lm;
+    merged.to_ledger(lm);
+    EXPECT_EQ(lf, lm) << "trial " << trial;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 
@@ -260,6 +292,10 @@ TEST(ObsJson, RunInfoBlockCarriesProvenance) {
   EXPECT_NE(s.find("\"git\":\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"build\":\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"threads\":4"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"hardware_concurrency\":" +
+                   std::to_string(std::thread::hardware_concurrency())),
+            std::string::npos)
+      << s;
   EXPECT_NE(build_git_describe(), nullptr);
   EXPECT_NE(build_type(), nullptr);
 }

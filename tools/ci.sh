@@ -25,9 +25,9 @@
 #      chaos grid runs at the end of step 1's full sweep.
 #   3. An end-to-end obs-registry counter check: one `ovo order --json`
 #      run must emit the registry's canonical keys — the table_cells /
-#      oracle_* fields and the schema_version run-info block — proving
-#      the CLI renders through the shared obs serializer, not a private
-#      formatter.
+#      oracle_* fields and the run-info block with schema_version and
+#      hardware_concurrency — proving the CLI renders through the shared
+#      obs serializer, not a private formatter.
 #
 # Any failure stops the script with a nonzero exit.
 #
@@ -56,12 +56,14 @@ tools/verify.sh --quick "${JOBS}"
 echo "#### ci: obs registry counter surface #########################"
 # The CLI's JSON must render through the shared obs serializer: registry
 # keys (table_cells — NOT the pre-refactor oracle_table_cells — and the
-# oracle ledger) plus the schema_version/git/build/threads run-info block.
+# oracle ledger) plus the schema_version/git/build/threads/
+# hardware_concurrency run-info block.
 out="$(build/tools/ovo order --strategy sift --json 'x1 & x2 | x3')"
 echo "${out}" | grep -q '"table_cells":'
 echo "${out}" | grep -q '"oracle_queries":'
 echo "${out}" | grep -q '"oracle_memo_hits":'
 echo "${out}" | grep -q '"schema_version":'
+echo "${out}" | grep -q '"hardware_concurrency":'
 if echo "${out}" | grep -q '"oracle_table_cells"'; then
   echo "FAIL: CLI emits the pre-obs key oracle_table_cells" >&2
   exit 1

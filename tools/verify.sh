@@ -10,7 +10,9 @@
 # with nm that the CLI binary references no obs::trace symbols — the
 # span macros must compile out completely.
 #
-# Full mode finishes with the deep CLI chaos sweep (tools/chaos.sh): the
+# Full mode also runs the benchmark's selftest (perfbench/run.py
+# --selftest: fs against brute force and against the closed-form cell
+# count) and finishes with the deep CLI chaos sweep (tools/chaos.sh): the
 # full fault-site x event grid through main()'s exit paths.
 #
 # Quick mode (--quick): default preset only, plus a governed smoke run of
@@ -182,6 +184,11 @@ fi
 
 run_preset asan
 run_preset tsan
+
+echo "==== full: perfbench selftest =============================="
+# The repository benchmark's own correctness check: fs against brute
+# force on small instances and DP cell counts against the closed form.
+python3 perfbench/run.py --selftest
 
 echo "==== full: CLI chaos sweep ================================="
 # The deep event grid: every checkpoint filesystem site x event 1..12,
