@@ -36,39 +36,56 @@ struct SlotScratch {
   ds::UniqueTable dedup;
 };
 
-/// Shared per-subset kernel of both engines: finds the best last variable
-/// for dense subset `d` by compacting each predecessor table, writing the
-/// winner into `best` (Lemma 7's argmin; first-candidate-wins tie-break,
-/// identical in every engine because candidates are visited in ascending
-/// bit order).
-void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
-                          const std::vector<util::Mask>& prev_dense,
-                          const std::vector<int>& j_vars, DiagramKind kind,
-                          const util::BinomialTable& binom, OpCounter* shard,
-                          SlotScratch& sc, PrefixTable& best,
-                          int* best_var_out, std::uint64_t* best_cost_out) {
-  std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
-  int bv = -1;
+/// What one state's candidate sweep found.
+struct Argmin {
+  int var = -1;  ///< winning last variable; -1 when every candidate was cut
+  std::uint64_t cost = kNoCostLimit;  ///< the winner's MINCOST
+  bool any_live = false;  ///< some predecessor was present in the layer
+};
+
+/// Lemma 7's argmin for dense subset `d`, the one candidate kernel of
+/// every engine.  `pred(mask)` returns the index of a predecessor table
+/// in `prev`, or ds::SparseIndex::npos when the predecessor is gone
+/// (pruned or dead); absent predecessors are skipped.  Candidates are
+/// visited in ascending bit order and each compacts under the limit
+/// min(first_limit, best cost so far), so a candidate finishes only when
+/// it strictly beats every earlier one and the first limit — the
+/// first-candidate-wins tie-break of the unbounded sweep.  The winner's
+/// table lands in `best`.
+template <typename Pred>
+Argmin best_last_for_subset(util::Mask d,
+                            const std::vector<PrefixTable>& prev,
+                            Pred&& pred, const std::vector<int>& j_vars,
+                            DiagramKind kind, std::uint64_t first_limit,
+                            OpCounter* shard, SlotScratch& sc,
+                            PrefixTable& best) {
+  Argmin a;
+  std::uint64_t limit = first_limit;
   util::for_each_bit(d, [&](int b) {
-    // Predecessor = this subset minus one element, found at its colex
-    // rank in the previous layer — an O(layer) table-driven computation
-    // in place of the seed's hash find.
-    const util::Mask pd = d & ~(util::Mask{1} << b);
-    const std::uint64_t pred = binom.rank(pd);
-    OVO_DCHECK(pred < prev.size() &&
-               prev_dense[static_cast<std::size_t>(pred)] == pd);
-    compact_into(sc.cand, prev[static_cast<std::size_t>(pred)],
-                 j_vars[static_cast<std::size_t>(b)], kind, shard, nullptr,
-                 &sc.dedup);
-    const std::uint64_t cost = sc.cand.mincost();
-    if (cost < bc) {
-      bc = cost;
-      bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, sc.cand);
-    }
+    const std::size_t p = pred(d & ~(util::Mask{1} << b));
+    if (p == ds::SparseIndex::npos) return;
+    a.any_live = true;
+    const int var = j_vars[static_cast<std::size_t>(b)];
+    if (!compact_into(sc.cand, prev[p], var, kind, shard, nullptr, &sc.dedup,
+                      limit))
+      return;
+    a.var = var;
+    a.cost = limit = sc.cand.mincost();
+    std::swap(best, sc.cand);
   });
-  *best_var_out = bv;
-  *best_cost_out = bc;
+  return a;
+}
+
+/// Predecessor lookup into a dense layer, where every subset is present
+/// at its colex rank — an O(layer) table-driven computation in place of
+/// the seed's hash find.
+auto dense_pred(const util::BinomialTable& binom,
+                const std::vector<util::Mask>& prev_dense) {
+  return [&binom, &prev_dense](util::Mask pd) {
+    const std::size_t r = static_cast<std::size_t>(binom.rank(pd));
+    OVO_DCHECK(r < prev_dense.size() && prev_dense[r] == pd);
+    return r;
+  };
 }
 
 std::uint64_t engine_now_ns() {
@@ -226,72 +243,62 @@ std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
   return sinks > dep ? sinks : dep;
 }
 
-/// best_last_for_subset against a *sparse* previous layer (packed
-/// survivors + sorted-mask index).  A missing predecessor was pruned:
-/// every chain through it already exceeds the incumbent, so skipping it
-/// never changes the argmin on a surviving state.  Surviving candidates
-/// are visited in the same ascending bit order as the dense kernel, so
-/// the winner — and every tie-break — coincides with the dense engine
-/// along any chain of surviving states.
-void best_last_for_subset_sparse(util::Mask d,
-                                 const std::vector<PrefixTable>& prev,
-                                 const ds::SparseIndex& prev_index,
-                                 const std::vector<int>& j_vars,
-                                 DiagramKind kind, OpCounter* shard,
-                                 SlotScratch& sc, PrefixTable& best,
-                                 int* best_var_out,
-                                 std::uint64_t* best_cost_out) {
-  std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
-  int bv = -1;
-  util::for_each_bit(d, [&](int b) {
-    const util::Mask pd = d & ~(util::Mask{1} << b);
-    const std::size_t pred = prev_index.rank(pd);
-    if (pred == ds::SparseIndex::npos) return;  // predecessor pruned
-    compact_into(sc.cand, prev[pred], j_vars[static_cast<std::size_t>(b)],
-                 kind, shard, nullptr, &sc.dedup);
-    const std::uint64_t cost = sc.cand.mincost();
-    if (cost < bc) {
-      bc = cost;
-      bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, sc.cand);
-    }
-  });
-  *best_var_out = bv;
-  *best_cost_out = bc;
-}
-
-/// DP state fates in the pruned pipelined engine's rank-indexed slots.
+/// DP state fates in the pruned engines.
 enum : std::uint8_t { kStateDead = 0, kStatePruned = 1, kStateAlive = 2 };
 
-/// best_last_for_subset against a *status-gated* dense previous layer
-/// (the pruned pipelined engine keeps rank-indexed slots; pruned/dead
-/// slots hold no cells and are skipped).  Returns best_var -1 when every
-/// predecessor is gone — the caller marks the state dead.
-void best_last_for_subset_gated(
-    util::Mask d, const std::vector<PrefixTable>& prev,
-    const std::vector<std::uint8_t>& prev_status,
-    const std::vector<int>& j_vars, DiagramKind kind,
-    const util::BinomialTable& binom, OpCounter* shard, SlotScratch& sc,
-    PrefixTable& best, int* best_var_out, std::uint64_t* best_cost_out) {
-  std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
-  int bv = -1;
-  util::for_each_bit(d, [&](int b) {
-    const util::Mask pd = d & ~(util::Mask{1} << b);
-    const std::uint64_t pred = binom.rank(pd);
-    OVO_DCHECK(pred < prev.size());
-    if (prev_status[static_cast<std::size_t>(pred)] != kStateAlive) return;
-    compact_into(sc.cand, prev[static_cast<std::size_t>(pred)],
-                 j_vars[static_cast<std::size_t>(b)], kind, shard, nullptr,
-                 &sc.dedup);
-    const std::uint64_t cost = sc.cand.mincost();
-    if (cost < bc) {
-      bc = cost;
-      bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, sc.cand);
-    }
-  });
-  *best_var_out = bv;
-  *best_cost_out = bc;
+/// The fixed inputs of every prune decision in one pruned run.
+struct PruneBounds {
+  util::Mask J = 0;
+  std::uint64_t ub = 0;            ///< the incumbent
+  util::Mask base_support = 0;     ///< placement-invariant, see table_support
+  std::uint64_t final_cells = 0;   ///< cells of the finished block's table
+
+  PruneBounds(const PrefixTable& base, util::Mask block, std::uint64_t inc)
+      : J(block),
+        ub(inc),
+        base_support(table_support(base) & block),
+        final_cells(static_cast<std::uint64_t>(base.cells.size()) >>
+                    util::popcount(block)) {}
+};
+
+/// Expands one state of a pruned engine and decides its fate: kStateDead
+/// when `pred` finds no predecessor, kStatePruned when the state cannot
+/// survive (its table, if any, is freed on the spot), kStateAlive with
+/// `table`, `var`, `cost` and `bound` set otherwise.
+///
+/// The state survives iff cost + completion_bound <= ub, and the bound's
+/// dependence half `dep` needs no table.  So no candidate costing at
+/// least ub + 1 - dep can make it survive, and that is the first limit
+/// of the candidate sweep.  When it cuts every candidate the state is
+/// pruned with no table: the decision the full sweep would have reached.
+/// A surviving state's winner costs less than the limit, so its argmin
+/// and tie-break are the unbounded sweep's.  Skipping an absent
+/// predecessor never changes a surviving state's argmin either: every
+/// chain through a pruned predecessor already exceeds the incumbent.
+template <typename Pred>
+std::uint8_t expand_pruned_state(const PruneBounds& pb, util::Mask d,
+                                 const std::vector<PrefixTable>& prev,
+                                 Pred&& pred, const std::vector<int>& j_vars,
+                                 DiagramKind kind, OpCounter* shard,
+                                 SlotScratch& sc, BoundScratch& bs,
+                                 PrefixTable& table, int* var,
+                                 std::uint64_t* cost, std::uint64_t* bound) {
+  const util::Mask rest = pb.J & ~spread_mask(d, j_vars);
+  const std::uint64_t dep =
+      static_cast<std::uint64_t>(util::popcount(pb.base_support & rest));
+  const std::uint64_t first_limit =  // ub + 1 - dep, saturating both ways
+      dep > pb.ub ? 0 : std::min(pb.ub - dep, kNoCostLimit - 1) + 1;
+  const Argmin a = best_last_for_subset(d, prev, pred, j_vars, kind,
+                                        first_limit, shard, sc, table);
+  if (!a.any_live) return kStateDead;
+  if (a.var < 0) return kStatePruned;
+  *var = a.var;
+  *cost = a.cost;
+  *bound = a.cost +
+           completion_bound(table, rest, pb.base_support, pb.final_cells, bs);
+  if (*bound <= pb.ub) return kStateAlive;
+  std::vector<std::uint32_t>().swap(table.cells);
+  return kStatePruned;
 }
 
 /// The PR 2 engine: one parallel_for per layer with an implicit barrier.
@@ -392,12 +399,13 @@ FsStarResult fs_star_barrier(const PrefixTable& base, util::Mask J,
       if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
       OpCounter* shard =
           ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
-      best_last_for_subset(dense[static_cast<std::size_t>(rank)], prev,
-                           prev_dense, j_vars, kind, binom, shard,
-                           scratch[static_cast<std::size_t>(slot)],
-                           cur[static_cast<std::size_t>(rank)],
-                           &best_var[static_cast<std::size_t>(rank)],
-                           &best_cost[static_cast<std::size_t>(rank)]);
+      const std::size_t r = static_cast<std::size_t>(rank);
+      const Argmin a = best_last_for_subset(
+          dense[r], prev, dense_pred(binom, prev_dense), j_vars, kind,
+          kNoCostLimit, shard, scratch[static_cast<std::size_t>(slot)],
+          cur[r]);
+      best_var[r] = a.var;
+      best_cost[r] = a.cost;
     });
     const std::uint64_t epilogue_t0 = fans_out ? engine_now_ns() : 0;
     if (gov != nullptr && gov->stopped()) break;  // discard partial layer
@@ -462,6 +470,50 @@ FsStarResult fs_star_barrier(const PrefixTable& base, util::Mask J,
 /// subset grain internally), bounding graph size at O(layers × 512)
 /// while keeping dependency edges sparse enough to pipeline.
 constexpr std::uint64_t kMaxGroupsPerLayer = 512;
+
+/// Adds layer `L` of a pipelined engine to `graph`: its subsets cut into
+/// up to kMaxGroupsPerLayer range nodes of `body` (group boundaries on
+/// chunk boundaries), each with dependency edges to exactly the groups of
+/// the previous layer `P` that hold its predecessors, deduplicated with a
+/// stamp array.  When `P` is the seed layer (base or resume snapshot) it
+/// is not a task, so `L`'s groups get no edges and seed the ready queue.
+template <typename Layer, typename Body>
+void add_layer_groups(par::TaskGraph& graph, int layer, Layer& L,
+                      const Layer& P, bool p_is_seed, std::uint64_t grain,
+                      const util::BinomialTable& binom, Body body) {
+  const std::uint64_t layer_size = L.dense.size();
+  std::uint64_t group =
+      (layer_size + kMaxGroupsPerLayer - 1) / kMaxGroupsPerLayer;
+  if (group < grain) group = grain;
+  group = (group + grain - 1) / grain * grain;  // align chunk boundaries
+  L.group_size = group;
+  L.n_groups = (layer_size + group - 1) / group;
+  std::vector<std::uint32_t> stamp(
+      p_is_seed ? 0 : static_cast<std::size_t>(P.n_groups),
+      std::numeric_limits<std::uint32_t>::max());
+  for (std::uint64_t g = 0; g < L.n_groups; ++g) {
+    const std::uint64_t lo = g * group;
+    const std::uint64_t hi = lo + group < layer_size ? lo + group : layer_size;
+    const par::TaskGraph::TaskId id = graph.add_range(lo, hi, grain, body);
+    graph.set_label(id, "fs.group", "layer",
+                    static_cast<std::uint64_t>(layer), "group", g);
+    if (g == 0) L.first_group = id;
+    if (p_is_seed) continue;
+    for (std::uint64_t r = lo; r < hi; ++r) {
+      const util::Mask d = L.dense[static_cast<std::size_t>(r)];
+      util::for_each_bit(d, [&](int b) {
+        const std::uint64_t pg =
+            binom.rank(d & ~(util::Mask{1} << b)) / P.group_size;
+        if (stamp[static_cast<std::size_t>(pg)] !=
+            static_cast<std::uint32_t>(g)) {
+          stamp[static_cast<std::size_t>(pg)] = static_cast<std::uint32_t>(g);
+          graph.add_edge(
+              P.first_group + static_cast<par::TaskGraph::TaskId>(pg), id);
+        }
+      });
+    }
+  }
+}
 
 /// The tentpole engine: the whole admitted DP is built as ONE TaskGraph.
 /// Each layer's subsets are grouped into up to kMaxGroupsPerLayer range
@@ -587,13 +639,6 @@ FsStarResult fs_star_pipelined(const PrefixTable& base, util::Mask J,
     L.best_var.assign(static_cast<std::size_t>(layer_size), -1);
     L.best_cost.resize(static_cast<std::size_t>(layer_size));
 
-    std::uint64_t group = (layer_size + kMaxGroupsPerLayer - 1) /
-                          kMaxGroupsPerLayer;
-    if (group < grain) group = grain;
-    group = (group + grain - 1) / grain * grain;  // align chunk boundaries
-    L.group_size = group;
-    L.n_groups = (layer_size + group - 1) / group;
-
     auto body = [&layers, &scratch, &shards, &j_vars, &binom, layer, kind,
                  ops, gov](std::uint64_t rank, int slot) {
       if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
@@ -601,46 +646,17 @@ FsStarResult fs_star_pipelined(const PrefixTable& base, util::Mask J,
       Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
       OpCounter* shard =
           ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
-      best_last_for_subset(cur.dense[static_cast<std::size_t>(rank)],
-                           pre.tables, pre.dense, j_vars, kind, binom, shard,
-                           scratch[static_cast<std::size_t>(slot)],
-                           cur.tables[static_cast<std::size_t>(rank)],
-                           &cur.best_var[static_cast<std::size_t>(rank)],
-                           &cur.best_cost[static_cast<std::size_t>(rank)]);
+      const std::size_t r = static_cast<std::size_t>(rank);
+      const Argmin a = best_last_for_subset(
+          cur.dense[r], pre.tables, dense_pred(binom, pre.dense), j_vars,
+          kind, kNoCostLimit, shard, scratch[static_cast<std::size_t>(slot)],
+          cur.tables[r]);
+      cur.best_var[r] = a.var;
+      cur.best_cost[r] = a.cost;
     };
 
-    // One range node per group; dependency edges to exactly the previous
-    // layer's groups that hold this group's predecessors, deduplicated
-    // with a stamp array.  The first built layer's only predecessor is
-    // the seed (base or resume snapshot), which is not a task — its
-    // groups seed the ready queue.
-    std::vector<std::uint32_t> stamp(
-        layer >= start_layer + 2 ? static_cast<std::size_t>(P.n_groups) : 0,
-        std::numeric_limits<std::uint32_t>::max());
-    for (std::uint64_t g = 0; g < L.n_groups; ++g) {
-      const std::uint64_t lo = g * group;
-      const std::uint64_t hi =
-          lo + group < layer_size ? lo + group : layer_size;
-      const par::TaskGraph::TaskId id = graph.add_range(lo, hi, grain, body);
-      graph.set_label(id, "fs.group", "layer",
-                      static_cast<std::uint64_t>(layer), "group", g);
-      if (g == 0) L.first_group = id;
-      if (layer < start_layer + 2) continue;
-      for (std::uint64_t r = lo; r < hi; ++r) {
-        util::for_each_bit(L.dense[static_cast<std::size_t>(r)], [&](int b) {
-          const util::Mask pd =
-              L.dense[static_cast<std::size_t>(r)] & ~(util::Mask{1} << b);
-          const std::uint64_t pg = binom.rank(pd) / P.group_size;
-          if (stamp[static_cast<std::size_t>(pg)] !=
-              static_cast<std::uint32_t>(g)) {
-            stamp[static_cast<std::size_t>(pg)] =
-                static_cast<std::uint32_t>(g);
-            graph.add_edge(
-                P.first_group + static_cast<par::TaskGraph::TaskId>(pg), id);
-          }
-        });
-      }
-    }
+    add_layer_groups(graph, layer, L, P, layer == start_layer + 1, grain,
+                     binom, body);
 
     // The layer fence: the one consumer that truly needs every subset of
     // the layer.  Runs the barrier engine's serial epilogue verbatim —
@@ -727,10 +743,7 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
   result.prune.upper_bound = ub;
   result.mincost.emplace(util::Mask{0}, base.mincost());
 
-  // Placement-invariant bound inputs, computed once per run.
-  const util::Mask base_support = table_support(base) & J;
-  const std::uint64_t final_cells =
-      static_cast<std::uint64_t>(base.cells.size()) >> j_size;
+  const PruneBounds pb(base, J, ub);
 
   // A resume snapshot's packed survivors stand in for layers
   // 0..snapshot.layer; its ledger (including the restored layer-fence
@@ -754,8 +767,8 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     // The run may trip before layer 1: layer 0's bound is still
     // certified.
     result.certified_lower_bound =
-        base.mincost() +
-        completion_bound(base, J, base_support, final_cells, bounds[0]);
+        base.mincost() + completion_bound(base, J, pb.base_support,
+                                          pb.final_cells, bounds[0]);
   }
 
   const std::atomic<bool>* stop_flag =
@@ -808,32 +821,24 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     std::vector<int> best_var(cand.size(), -1);
     std::vector<std::uint64_t> best_cost(cand.size());
     std::vector<std::uint64_t> bound(cand.size());
-    std::vector<std::uint8_t> keep(cand.size(), 0);
+    std::vector<std::uint8_t> status(cand.size(), kStateDead);
 
     const bool fans_out = threads > 1 && cand.size() > grain;
     pool.parallel_for(
         0, cand.size(), grain, threads, stop_flag,
         [&](std::uint64_t i, int slot) {
           if (gov != nullptr) gov->poll();
-          OpCounter* shard =
-              ops != nullptr ? &shards[static_cast<std::size_t>(slot)]
-                             : nullptr;
+          const std::size_t sl = static_cast<std::size_t>(slot);
           const std::size_t s = static_cast<std::size_t>(i);
-          best_last_for_subset_sparse(cand[s], prev, prev_index, j_vars,
-                                      kind, shard,
-                                      scratch[static_cast<std::size_t>(slot)],
-                                      cur[s], &best_var[s], &best_cost[s]);
           // The prune decision is state-local and the incumbent is
           // fixed, so deciding it inside the parallel body is safe and
-          // deterministic; a pruned state's cells are freed on the spot.
-          const util::Mask rest = J & ~spread_mask(cand[s], j_vars);
-          bound[s] = best_cost[s] +
-                     completion_bound(cur[s], rest, base_support, final_cells,
-                                      bounds[static_cast<std::size_t>(slot)]);
-          if (bound[s] <= ub)
-            keep[s] = 1;
-          else
-            std::vector<std::uint32_t>().swap(cur[s].cells);
+          // deterministic.
+          status[s] = expand_pruned_state(
+              pb, cand[s], prev,
+              [&prev_index](util::Mask pd) { return prev_index.rank(pd); },
+              j_vars, kind, ops != nullptr ? &shards[sl] : nullptr,
+              scratch[sl], bounds[sl], cur[s], &best_var[s], &best_cost[s],
+              &bound[s]);
         });
     const std::uint64_t epilogue_t0 = fans_out ? engine_now_ns() : 0;
     if (gov != nullptr && gov->stopped()) break;  // discard partial layer
@@ -845,8 +850,8 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     std::uint64_t cur_resident = 0;
     std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t i = 0; i < cand.size(); ++i) {
-      OVO_CHECK(best_var[i] >= 0);
-      if (keep[i] == 0) continue;
+      OVO_CHECK(status[i] != kStateDead);  // candidates have a predecessor
+      if (status[i] != kStateAlive) continue;
       const util::Mask K = spread_mask(cand[i], j_vars);
       result.best_last.emplace(K, best_var[i]);
       result.mincost.emplace(K, best_cost[i]);
@@ -935,9 +940,7 @@ FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
   result.prune.upper_bound = ub;
   result.mincost.emplace(util::Mask{0}, base.mincost());
 
-  const util::Mask base_support = table_support(base) & J;
-  const std::uint64_t final_cells =
-      static_cast<std::uint64_t>(base.cells.size()) >> j_size;
+  const PruneBounds pb(base, J, ub);
 
   struct Layer {
     std::vector<util::Mask> dense;
@@ -990,8 +993,8 @@ FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
     seed.tables.push_back(base);
     seed.status.push_back(kStateAlive);
     result.certified_lower_bound =
-        base.mincost() +
-        completion_bound(base, J, base_support, final_cells, bounds[0]);
+        base.mincost() + completion_bound(base, J, pb.base_support,
+                                          pb.final_cells, bounds[0]);
     fence_prev_resident = base.cells.size();
   }
 
@@ -1012,72 +1015,30 @@ FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
     L.bound.resize(static_cast<std::size_t>(layer_size));
     L.status.assign(static_cast<std::size_t>(layer_size), kStateDead);
 
-    std::uint64_t group = (layer_size + kMaxGroupsPerLayer - 1) /
-                          kMaxGroupsPerLayer;
-    if (group < grain) group = grain;
-    group = (group + grain - 1) / grain * grain;  // align chunk boundaries
-    L.group_size = group;
-    L.n_groups = (layer_size + group - 1) / group;
-
-    auto body = [&layers, &scratch, &shards, &bounds, &j_vars, &binom, layer,
-                 kind, ops, gov, ub, base_support, final_cells,
-                 J](std::uint64_t rank, int slot) {
+    auto body = [&layers, &scratch, &shards, &bounds, &j_vars, &binom, &pb,
+                 layer, kind, ops, gov](std::uint64_t rank, int slot) {
       if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
       Layer& cur = layers[static_cast<std::size_t>(layer)];
-      Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
+      const Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
       const std::size_t r = static_cast<std::size_t>(rank);
-      OpCounter* shard =
-          ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
-      best_last_for_subset_gated(cur.dense[r], pre.tables, pre.status,
-                                 j_vars, kind, binom, shard,
-                                 scratch[static_cast<std::size_t>(slot)],
-                                 cur.tables[r], &cur.best_var[r],
-                                 &cur.best_cost[r]);
-      if (cur.best_var[r] < 0) return;  // every predecessor pruned: dead
-      const util::Mask rest = J & ~spread_mask(cur.dense[r], j_vars);
-      cur.bound[r] =
-          cur.best_cost[r] +
-          completion_bound(cur.tables[r], rest, base_support, final_cells,
-                           bounds[static_cast<std::size_t>(slot)]);
-      if (cur.bound[r] <= ub) {
-        cur.status[r] = kStateAlive;
-      } else {
-        cur.status[r] = kStatePruned;
-        std::vector<std::uint32_t>().swap(cur.tables[r].cells);
-      }
+      const std::size_t sl = static_cast<std::size_t>(slot);
+      // Pruned and dead slots hold no cells: only alive ones are
+      // predecessors.  A state with none stays kStateDead.
+      const auto alive_pred = [&binom, &pre](util::Mask pd) {
+        const std::size_t p = static_cast<std::size_t>(binom.rank(pd));
+        OVO_DCHECK(p < pre.status.size());
+        return pre.status[p] == kStateAlive ? p : ds::SparseIndex::npos;
+      };
+      cur.status[r] = expand_pruned_state(
+          pb, cur.dense[r], pre.tables, alive_pred, j_vars, kind,
+          ops != nullptr ? &shards[sl] : nullptr, scratch[sl], bounds[sl],
+          cur.tables[r], &cur.best_var[r], &cur.best_cost[r], &cur.bound[r]);
     };
 
-    // Same sparse-enough dependency structure as the dense engine: a
-    // group waits for every previous-layer group holding one of its
-    // predecessors.  Prune fates are not known at build time, so edges
-    // are conservative; a dead group body costs one status sweep.
-    std::vector<std::uint32_t> stamp(
-        layer >= start_layer + 2 ? static_cast<std::size_t>(P.n_groups) : 0,
-        std::numeric_limits<std::uint32_t>::max());
-    for (std::uint64_t g = 0; g < L.n_groups; ++g) {
-      const std::uint64_t lo = g * group;
-      const std::uint64_t hi =
-          lo + group < layer_size ? lo + group : layer_size;
-      const par::TaskGraph::TaskId id = graph.add_range(lo, hi, grain, body);
-      graph.set_label(id, "fs.group", "layer",
-                      static_cast<std::uint64_t>(layer), "group", g);
-      if (g == 0) L.first_group = id;
-      if (layer < start_layer + 2) continue;
-      for (std::uint64_t r = lo; r < hi; ++r) {
-        util::for_each_bit(L.dense[static_cast<std::size_t>(r)], [&](int b) {
-          const util::Mask pd =
-              L.dense[static_cast<std::size_t>(r)] & ~(util::Mask{1} << b);
-          const std::uint64_t pg = binom.rank(pd) / P.group_size;
-          if (stamp[static_cast<std::size_t>(pg)] !=
-              static_cast<std::uint32_t>(g)) {
-            stamp[static_cast<std::size_t>(pg)] =
-                static_cast<std::uint32_t>(g);
-            graph.add_edge(
-                P.first_group + static_cast<par::TaskGraph::TaskId>(pg), id);
-          }
-        });
-      }
-    }
+    // Prune fates are not known at build time, so the dependency edges
+    // are the dense engine's; a dead group body costs one status sweep.
+    add_layer_groups(graph, layer, L, P, layer == start_layer + 1, grain,
+                     binom, body);
 
     // Layer fence: publish survivors in rank order, tally the ledger and
     // the all-dead chunks, charge the actual sparse work, free layer-1.

@@ -53,23 +53,20 @@ ds::UniqueTable& dedup_for(ds::UniqueTable* scratch, ds::UniqueTable& local,
   return *scratch;
 }
 
-/// Accounts one finished compaction of `t`.  A fast-path compaction
-/// (`dedup` null) made no lookups but still inserted one node per pair.
-void count_compaction(OpCounter* ops, const PrefixTable& t,
-                      const ds::UniqueTable* dedup) {
+/// Accounts one COMPACT call of `t` in full (Theorem 5's count), however
+/// far its sweep got.
+void count_compaction(OpCounter* ops, const PrefixTable& t) {
   if (ops == nullptr) return;
   ops->table_cells += t.cells.size();
   ++ops->compactions;
-  if (dedup != nullptr)
-    ops->dedup += dedup->stats();
-  else
-    ops->dedup.inserts += t.cells.size() >> 1;
 }
 
 /// Shared cell sweep for compact() / compaction_width(). Emit receives
-/// (dense cell index in the new table, u0, u1) for every new-table cell.
+/// (dense cell index in the new table, u0, u1) for every new-table cell
+/// and returns false to stop the sweep; sweep_pairs returns whether it
+/// reached the end.
 template <typename Emit>
-void sweep_pairs(const PrefixTable& t, int var, Emit&& emit) {
+bool sweep_pairs(const PrefixTable& t, int var, Emit&& emit) {
   const util::Mask bit = util::Mask{1} << var;
   const util::Mask free = t.free_mask();
   // Rank of `var` among the free variables (ascending index) = its bit
@@ -80,8 +77,9 @@ void sweep_pairs(const PrefixTable& t, int var, Emit&& emit) {
   for (std::uint64_t b = 0; b < half; ++b) {
     const std::uint64_t idx0 = ((b & ~low) << 1) | (b & low);
     const std::uint64_t idx1 = idx0 | (std::uint64_t{1} << pos);
-    emit(b, t.cells[idx0], t.cells[idx1]);
+    if (!emit(b, t.cells[idx0], t.cells[idx1])) return false;
   }
+  return true;
 }
 
 bool cell_passes_through(DiagramKind kind, std::uint32_t u0,
@@ -139,58 +137,71 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
   return out;
 }
 
-void compact_into(PrefixTable& out, const PrefixTable& t, int var,
+bool compact_into(PrefixTable& out, const PrefixTable& t, int var,
                   DiagramKind kind, OpCounter* ops, rt::Governor* gov,
-                  ds::UniqueTable* scratch) {
+                  ds::UniqueTable* scratch, std::uint64_t limit) {
   OVO_DCHECK(&out != &t);
   check_compaction_var(t, var);
   if (gov != nullptr) gov->charge(t.cells.size());
+  count_compaction(ops, t);
+  if (t.mincost() >= limit) return false;
+  // Nodes this call may still create before its cost reaches `limit`.
+  std::uint64_t room = limit - t.mincost();
   const std::uint64_t half = t.cells.size() >> 1;
+  const bool fresh = is_fresh_run(t);
+  if (fresh && half >= room) return false;
   out.n = t.n;
   out.vars = t.vars | (util::Mask{1} << var);
   out.num_terminals = t.num_terminals;
   out.next_id = t.next_id;
   out.cells.resize(half);
-  if (is_fresh_run(t)) {
+  if (fresh) {
     std::iota(out.cells.begin(), out.cells.end(), out.next_id);
     out.next_id += static_cast<std::uint32_t>(half);
-    count_compaction(ops, t, nullptr);
-    return;
+    if (ops != nullptr) ops->dedup.inserts += half;
+    return true;
   }
   ds::UniqueTable local;
   ds::UniqueTable& dedup = dedup_for(scratch, local, half);
-  sweep_pairs(t, var, [&](std::uint64_t b, std::uint32_t u0,
-                          std::uint32_t u1) {
+  const bool finished = sweep_pairs(t, var, [&](std::uint64_t b,
+                                                std::uint32_t u0,
+                                                std::uint32_t u1) {
     if (cell_passes_through(kind, u0, u1)) {
       out.cells[b] = u0;
-      return;
+      return true;
     }
     const auto [id, inserted] =
         dedup.find_or_insert(ds::pack_pair(u0, u1), out.next_id);
-    if (inserted) ++out.next_id;
     out.cells[b] = id;
+    if (!inserted) return true;
+    ++out.next_id;
+    return --room != 0;
   });
-  count_compaction(ops, t, &dedup);
+  if (ops != nullptr) ops->dedup += dedup.stats();
+  return finished;
 }
 
 std::uint64_t compaction_width(const PrefixTable& t, int var,
                                DiagramKind kind, OpCounter* ops,
                                ds::UniqueTable* scratch) {
   check_compaction_var(t, var);
+  count_compaction(ops, t);
   const std::uint64_t half = t.cells.size() >> 1;
   if (is_fresh_run(t)) {
-    count_compaction(ops, t, nullptr);
+    if (ops != nullptr) ops->dedup.inserts += half;
     return half;
   }
   ds::UniqueTable local;
   ds::UniqueTable& dedup = dedup_for(scratch, local, half);
   sweep_pairs(t, var,
               [&](std::uint64_t, std::uint32_t u0, std::uint32_t u1) {
-                if (cell_passes_through(kind, u0, u1)) return;
-                dedup.find_or_insert(ds::pack_pair(u0, u1),
-                                     static_cast<std::uint32_t>(dedup.size()));
+                if (!cell_passes_through(kind, u0, u1))
+                  dedup.find_or_insert(
+                      ds::pack_pair(u0, u1),
+                      static_cast<std::uint32_t>(dedup.size()));
+                return true;
               });
-  count_compaction(ops, t, &dedup);
+  if (ops != nullptr) ops->dedup += dedup.stats();
   return dedup.size();
 }
 

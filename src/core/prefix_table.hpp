@@ -28,6 +28,7 @@
 // x2 and x3 — distinct functions that must not be merged.)
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ds/unique_table.hpp"
@@ -109,9 +110,15 @@ struct PruneStats {
 /// compaction is linear in the table size up to log factors), and Remark 1
 /// observes that space is of the same order — peak_cells tracks the
 /// largest number of table cells simultaneously alive in the DP.
+///
+/// table_cells and compactions are Theorem 5's operation count: every
+/// COMPACT call adds its full |TABLE_I| and one compaction, including a
+/// call its cost limit cuts short (see compact_into).  They count the
+/// candidates the DP considered, not the cells it swept; the work
+/// actually done shows in `dedup` (real lookups and inserts) and in time.
 struct OpCounter {
-  std::uint64_t table_cells = 0;  ///< cells read by compactions
-  std::uint64_t compactions = 0;  ///< number of COMPACT invocations
+  std::uint64_t table_cells = 0;  ///< |TABLE_I| of every COMPACT call
+  std::uint64_t compactions = 0;  ///< number of COMPACT calls
   std::uint64_t peak_cells = 0;   ///< max cells resident at once (Remark 1)
   ds::TableStats dedup;           ///< merged COMPACT dedup-table counters
   PruneStats prune;               ///< bound-pruned DP ledger (see above)
@@ -190,10 +197,24 @@ PrefixTable initial_table_values(const std::vector<std::int64_t>& values,
 PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
                     OpCounter* ops = nullptr, rt::Governor* gov = nullptr);
 
+/// No cost limit: the compaction always runs to the end.
+inline constexpr std::uint64_t kNoCostLimit =
+    std::numeric_limits<std::uint64_t>::max();
+
 /// compact() writing into `out`, reusing out's cells buffer (no
 /// allocation once out's capacity covers |TABLE_I| / 2).  The workhorse
 /// of the DP inner loop and the chain evaluator, where a fresh table per
 /// compaction would churn the allocator.  `out` must not alias `t`.
+///
+/// `limit` is an exclusive bound on the result's MINCOST.  The call
+/// returns false, leaving `out` unspecified, as soon as out.next_id -
+/// num_terminals reaches `limit`: ids only grow, so the finished table
+/// would have cost >= limit.  It returns before resetting `scratch` or
+/// reading a cell when t.mincost() >= limit, and before writing when a
+/// fresh run's known cost t.mincost() + |TABLE_I|/2 reaches it.  A call
+/// that returns true is bit for bit the unbounded call.  Either way ops
+/// counts the call in full (table_cells += |TABLE_I|, ++compactions);
+/// ops->dedup counts only the lookups and inserts actually made.
 ///
 /// Two paths, one result.  When t.cells is a *fresh run* — exactly the
 /// ids next_id-|TABLE_I| .. next_id-1 in cell order, none a terminal —
@@ -203,10 +224,11 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
 /// fresh table would have (same ids and ds.unique.* counts as one), or
 /// in a table local to the call when `scratch` is null.  Callers that
 /// compact repeatedly keep one scratch per thread for a request.
-void compact_into(PrefixTable& out, const PrefixTable& t, int var,
+bool compact_into(PrefixTable& out, const PrefixTable& t, int var,
                   DiagramKind kind, OpCounter* ops = nullptr,
                   rt::Governor* gov = nullptr,
-                  ds::UniqueTable* scratch = nullptr);
+                  ds::UniqueTable* scratch = nullptr,
+                  std::uint64_t limit = kNoCostLimit);
 
 /// The width Cost_var(f, pi_{(I,var)}) this compaction would add, without
 /// materializing the new table (same cost and the same two paths as

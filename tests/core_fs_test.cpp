@@ -307,6 +307,81 @@ TEST(CompactScratch, ReuseAcrossSizesMatchesScratchlessCalls) {
   EXPECT_GT(ops.dedup.resizes, 0u);
 }
 
+// --- bounded compaction -------------------------------------------------------
+
+TEST(CompactLimit, FinishesIffTheFullCostIsBelowTheLimit) {
+  struct Case {
+    const char* name;
+    DiagramKind kind;
+    PrefixTable table;
+    bool fresh;  ///< takes the lookup-free path
+  };
+  util::Xoshiro256 rng(0x11a1);
+  std::vector<Case> cs;
+  // Hash-path tables, each also one compaction in (so mincost > 0).
+  const auto add_hash = [&](const char* name, const char* mid,
+                            DiagramKind kind, const PrefixTable& t) {
+    cs.push_back({name, kind, t, false});
+    cs.push_back({mid, kind, compact(t, 2, kind), false});
+  };
+  add_hash("bdd_hash", "bdd_hash_mid", DiagramKind::kBdd,
+           initial_table(tt::random_function(6, rng)));
+  add_hash("zdd_hash", "zdd_hash_mid", DiagramKind::kZdd,
+           initial_table(tt::random_sparse_function(6, 20, rng)));
+  std::vector<std::int64_t> vals(64);
+  for (std::int64_t& v : vals)
+    v = static_cast<std::int64_t>(rng.below(5)) - 2;
+  const PrefixTable mt = initial_table_values(vals, 6);
+  ASSERT_GT(mt.num_terminals, 2u);
+  add_hash("mtbdd_hash", "mtbdd_hash_mid", DiagramKind::kMtbdd, mt);
+  // Fresh runs: the cost is known before the sweep.
+  cs.push_back(
+      {"bdd_fresh", DiagramKind::kBdd, fresh_run_table(5, 0, 2, 2), true});
+  cs.push_back(
+      {"zdd_fresh", DiagramKind::kZdd, fresh_run_table(5, 0b10, 2, 7), true});
+  cs.push_back({"mtbdd_fresh", DiagramKind::kMtbdd,
+                fresh_run_table(5, 0b1000, 5, 11), true});
+
+  // One scratch through every bounded call: a call that returns before
+  // resetting it must not disturb the next one.
+  ds::UniqueTable scratch;
+  for (const Case& c : cs) {
+    SCOPED_TRACE(c.name);
+    const PrefixTable& t = c.table;
+    util::for_each_bit(t.free_mask(), [&](int v) {
+      SCOPED_TRACE(v);
+      OpCounter full_ops;
+      PrefixTable want;
+      ASSERT_TRUE(compact_into(want, t, v, c.kind, &full_ops));
+      const std::uint64_t full = want.mincost();
+      ASSERT_GT(full, 0u);
+      ASSERT_EQ(full_ops.dedup.lookups == 0, c.fresh);
+      for (const std::uint64_t limit :
+           {std::uint64_t{0}, t.mincost(), full - 1, full, full + 1,
+            kNoCostLimit}) {
+        SCOPED_TRACE(limit);
+        OpCounter ops;
+        PrefixTable got;
+        const bool finished = compact_into(got, t, v, c.kind, &ops, nullptr,
+                                           &scratch, limit);
+        EXPECT_EQ(finished, full < limit);
+        if (finished) {
+          EXPECT_EQ(got.cells, want.cells);
+          EXPECT_EQ(got.next_id, want.next_id);
+          EXPECT_EQ(got.vars, want.vars);
+          expect_table_stats_equal(ops.dedup, full_ops.dedup);
+        } else {
+          EXPECT_LE(ops.dedup.lookups, full_ops.dedup.lookups);
+          EXPECT_LE(ops.dedup.inserts, full_ops.dedup.inserts);
+        }
+        // Theorem 5's count: every call in full, cut or not.
+        EXPECT_EQ(ops.table_cells, t.cells.size());
+        EXPECT_EQ(ops.compactions, 1u);
+      }
+    });
+  }
+}
+
 // --- Lemma 3: width depends only on the prefix set --------------------------
 
 class Lemma3Property : public ::testing::TestWithParam<int> {};

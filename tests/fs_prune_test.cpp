@@ -18,6 +18,7 @@
 #include "parallel/exec_policy.hpp"
 #include "parallel/task_graph.hpp"
 #include "reorder/minimize_auto.hpp"
+#include "reorder/oracle.hpp"
 #include "rt/budget.hpp"
 #include "rt/fault.hpp"
 #include "tt/function_zoo.hpp"
@@ -393,6 +394,92 @@ TEST(FsPruneFaults, AllocFaultDrainsAndLeavesNoCorruption) {
       core::fs_minimize(f, core::DiagramKind::kBdd, exec);
   EXPECT_EQ(again.min_internal_nodes, serial.min_internal_nodes);
   EXPECT_EQ(again.order_root_first, serial.order_root_first);
+}
+
+
+// ------------------------------------------------------------------ pins --
+
+// The figures below are what the unbounded candidate sweep produces.
+// Cutting losing candidates short must change no prune decision and no
+// Theorem 5 count, on either engine at any thread count.
+
+/// A pruned run's whole ledger and Theorem 5 counts.
+struct PrunedRunPin {
+  core::PruneStats prune;
+  std::uint64_t certified_lower_bound = 0;
+  std::uint64_t table_cells = 0;
+  std::uint64_t compactions = 0;
+  std::uint64_t peak_cells = 0;
+};
+
+/// fs_star with a sift-seeded incumbent, as `ovo order --prune bounds`
+/// runs it.
+PrunedRunPin sift_seeded_pruned_run(const tt::TruthTable& f, int threads,
+                                    bool pipeline) {
+  reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
+  const reorder::PruneSeedResult seeded = reorder::seed_prune_bound(
+      oracle, "sift", 8, 16, 42, reorder::EvalContext{});
+  core::OpCounter ops;
+  const int n = f.num_vars();
+  const core::FsStarResult r = core::fs_star(
+      core::initial_table(f), util::full_mask(n), n, core::DiagramKind::kBdd,
+      &ops, policy(threads, pipeline, par::PruneMode::kBounds), nullptr,
+      seeded.upper_bound);
+  return {r.prune, r.certified_lower_bound, ops.table_cells, ops.compactions,
+          ops.peak_cells};
+}
+
+void expect_pin(const PrunedRunPin& want, const PrunedRunPin& got) {
+  EXPECT_EQ(got.prune.upper_bound, want.prune.upper_bound);
+  EXPECT_EQ(got.prune.states_generated, want.prune.states_generated);
+  EXPECT_EQ(got.prune.states_pruned, want.prune.states_pruned);
+  EXPECT_EQ(got.prune.states_dead, want.prune.states_dead);
+  EXPECT_EQ(got.prune.states_surviving, want.prune.states_surviving);
+  EXPECT_EQ(got.prune.dense_cells, want.prune.dense_cells);
+  EXPECT_EQ(got.prune.sparse_cells, want.prune.sparse_cells);
+  EXPECT_EQ(got.certified_lower_bound, want.certified_lower_bound);
+  EXPECT_EQ(got.table_cells, want.table_cells);
+  EXPECT_EQ(got.compactions, want.compactions);
+  EXPECT_EQ(got.peak_cells, want.peak_cells);
+}
+
+TEST(FsPrunePins, SiftSeededRunsKeepTheUnboundedLedger) {
+  const struct {
+    const char* name;
+    tt::TruthTable f;
+    PrunedRunPin want;
+  } cases[] = {
+      {"hwb12", tt::hidden_weighted_bit(12),
+       {{137, 1759, 1144, 2336, 615, 527345, 265051},
+        137, 2477846, 5061, 180224}},
+      {"adder12", tt::adder_carry(12),
+       {{17, 2435, 1588, 1660, 847, 527345, 275489},
+        17, 2538376, 6220, 180224}},
+  };
+  for (const auto& c : cases) {
+    for (const int threads : {1, 4}) {
+      for (const bool pipeline : {false, true}) {
+        SCOPED_TRACE(testing::Message() << c.name << " threads=" << threads
+                                        << " pipeline=" << pipeline);
+        expect_pin(c.want, sift_seeded_pruned_run(c.f, threads, pipeline));
+      }
+    }
+  }
+}
+
+TEST(FsPrunePins, DenseRunKeepsTheTheorem5Counts) {
+  const tt::TruthTable f = tt::hidden_weighted_bit(12);
+  for (const int threads : {1, 4}) {
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " pipeline=" << pipeline);
+      const core::MinimizeResult m = core::fs_minimize(
+          f, core::DiagramKind::kBdd, policy(threads, pipeline));
+      EXPECT_EQ(m.ops.table_cells, 4251528u);
+      EXPECT_EQ(m.ops.compactions, 24576u);
+      EXPECT_EQ(m.ops.peak_cells, 239360u);
+    }
+  }
 }
 
 }  // namespace

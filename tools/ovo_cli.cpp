@@ -20,7 +20,8 @@
 // flag is an alias (fs → "fs", or "auto" when budget or checkpoint flags
 // are present; bnb → "bnb"; quantum → "quantum").  The budget flags
 // bound a run (see docs/INTERNALS.md, "Resource governance"); every
-// strategy then returns its best incumbent plus why it stopped.  --json
+// strategy then returns its best incumbent plus why it stopped, except
+// `--strategy fs`, which is ungoverned and rejects them (exit 2).  --json
 // emits one machine-readable object including the outcome, the certified
 // lower bound, and the unified oracle counters — rendered through the
 // obs shared serializer, so its field names match BENCH_fs.json /
@@ -387,6 +388,15 @@ int cmd_order(const std::vector<std::string>& args) {
   const bool budgeted = !budget.unlimited();
   const bool checkpointing =
       !checkpoint_path.empty() || !resume_path.empty();
+  // The plain `fs` strategy runs the DP ungoverned, so it rejects budget
+  // flags rather than ignore them; `auto` is the governed exact path.
+  if (strategy_name == "fs" && budgeted) {
+    std::fprintf(stderr,
+                 "--strategy fs does not take --timeout-ms, --node-limit, "
+                 "--mem-limit-mb or --work-limit; use --strategy auto for "
+                 "a budgeted exact run\n");
+    return 2;
+  }
 
   // Graceful interruption: Ctrl-C / SIGTERM trips the CancelToken and
   // the run winds down through the normal cancelled path (snapshot,

@@ -18,8 +18,9 @@
 # Quick mode (--quick): default preset only, plus a governed smoke run of
 # the two scaling benches so the bench JSON surface is exercised too —
 # the FS bench runs with --prune bounds and its rows must carry the
-# pruning ledger — and a CLI guard that a bound-pruned `ovo order` run
-# returns the identical order and size as the dense default.  Quick mode
+# pruning ledger — a CLI guard that a bound-pruned `ovo order` run
+# returns the identical order and size as the dense default, and a check
+# that `--strategy fs` rejects every budget flag with exit 2.  Quick mode
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence spans and per-thread monotone
 # timestamps), builds the OVO_FUZZ targets for a fixed-seed random smoke
@@ -112,6 +113,16 @@ if [[ "${QUICK}" -eq 1 ]]; then
   # ...and the pruned CLI run must surface its ledger.
   build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
     | grep -q '"states_pruned"'
+  echo "==== quick: budget flags on the ungoverned fs strategy ====="
+  # `--strategy fs` cannot honour a budget, so each budget flag is a
+  # usage error (exit 2) naming the governed `--strategy auto`.
+  for flag in --timeout-ms --node-limit --mem-limit-mb --work-limit; do
+    rc=0
+    build/tools/ovo order --strategy fs "${flag}" 100 "${smoke_fn}" \
+      >/dev/null 2>"${smoke_dir}/err.txt" || rc=$?
+    [[ "${rc}" -eq 2 ]]
+    grep -q -- '--strategy auto' "${smoke_dir}/err.txt"
+  done
   echo "==== quick: checkpoint round-trip smoke ===================="
   # A run interrupted mid-DP (deterministic fault injection standing in
   # for SIGINT) must leave a resumable snapshot, and the resumed run's
