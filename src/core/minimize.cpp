@@ -45,38 +45,44 @@ MinimizeResult fs_minimize_mtbdd(const std::vector<std::int64_t>& values,
 
 namespace {
 
-std::uint64_t chain_size_impl(const PrefixTable& base,
+std::uint64_t chain_size_impl(const PrefixTable& start,
                               const std::vector<int>& order_root_first,
                               DiagramKind kind, ChainScratch& scratch,
                               OpCounter* ops,
                               std::vector<std::uint64_t>* profile,
-                              const rt::Governor* gov) {
-  OVO_CHECK_MSG(static_cast<int>(order_root_first.size()) == base.n,
+                              const rt::Governor* gov,
+                              std::span<PrefixTable> keep = {}) {
+  const int n = start.n;
+  OVO_CHECK_MSG(static_cast<int>(order_root_first.size()) == n,
                 "order length mismatch");
   OVO_CHECK_MSG(util::is_permutation(order_root_first),
                 "order not a permutation");
+  const int done = util::popcount(start.vars);
+  util::Mask bottom = 0;
+  for (int depth = 1; depth <= done; ++depth)
+    bottom |= util::Mask{1} << order_root_first[n - depth];
+  OVO_CHECK_MSG(start.vars == bottom,
+                "start table is not on this order's chain");
+  OVO_DCHECK(&start != &scratch.cur && &start != &scratch.next);
   if (profile != nullptr) profile->assign(order_root_first.size(), 0);
-  PrefixTable& table = scratch.cur;
-  PrefixTable& next = scratch.next;
-  // Copy the base into the scratch table, reusing its cells capacity.
-  table.n = base.n;
-  table.vars = base.vars;
-  table.num_terminals = base.num_terminals;
-  table.next_id = base.next_id;
-  table.cells.assign(base.cells.begin(), base.cells.end());
-  // Compact bottom-up (last-read variable first), ping-ponging between
-  // two tables so each step reuses the other's cells buffer instead of
-  // allocating a fresh table per compaction.
-  for (std::size_t j = order_root_first.size(); j-- > 0;) {
+  // Compact bottom-up (last-read variable first) from `start`.  Depths
+  // the caller keeps are written into `keep`; the rest ping-pong between
+  // the scratch tables, so each step reuses the other's cells buffer and
+  // `start` is never copied.
+  const PrefixTable* table = &start;
+  for (int depth = done + 1; depth <= n; ++depth) {
     if (gov != nullptr && gov->stopped()) return kAbortedSize;
-    const std::uint64_t before = table.mincost();
-    compact_into(next, table, order_root_first[j], kind, ops, nullptr,
-                 &scratch.dedup);
-    std::swap(table, next);
+    PrefixTable& out =
+        static_cast<std::size_t>(depth) <= keep.size() ? keep[depth - 1]
+        : table == &scratch.cur                        ? scratch.next
+                                                       : scratch.cur;
+    compact_into(out, *table, order_root_first[n - depth], kind, ops,
+                 nullptr, &scratch.dedup);
     if (profile != nullptr)
-      (*profile)[order_root_first.size() - 1 - j] = table.mincost() - before;
+      (*profile)[depth - 1] = out.mincost() - table->mincost();
+    table = &out;
   }
-  return table.mincost();
+  return table->mincost();
 }
 
 std::uint64_t chain_size(const PrefixTable& base,
@@ -91,13 +97,14 @@ std::uint64_t chain_size(const PrefixTable& base,
 
 }  // namespace
 
-std::uint64_t diagram_size_from_base(const PrefixTable& base,
+std::uint64_t diagram_size_from_base(const PrefixTable& start,
                                      const std::vector<int>& order_root_first,
                                      DiagramKind kind, ChainScratch& scratch,
                                      OpCounter* ops,
-                                     const rt::Governor* gov) {
-  return chain_size_impl(base, order_root_first, kind, scratch, ops, nullptr,
-                         gov);
+                                     const rt::Governor* gov,
+                                     std::span<PrefixTable> keep) {
+  return chain_size_impl(start, order_root_first, kind, scratch, ops, nullptr,
+                         gov, keep);
 }
 
 std::uint64_t diagram_size_for_order(const tt::TruthTable& f,

@@ -4,6 +4,7 @@
 // evaluation used by baselines and verification.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/fs_checkpoint.hpp"
@@ -78,16 +79,29 @@ struct ChainScratch {
   ds::UniqueTable dedup;
 };
 
-/// diagram_size_for_order starting from a prebuilt TABLE_{emptyset}
-/// (`base` is copied into `scratch.cur`, never mutated) and compacting
+/// diagram_size_for_order continuing a chain from `start` and compacting
 /// in the caller's scratch, so a caller that evaluates many orders
 /// against one function allocates nothing once the scratch capacity
-/// covers one chain.  This is the primitive under reorder::CostOracle.
-std::uint64_t diagram_size_from_base(const PrefixTable& base,
+/// covers one chain.  `start` is TABLE_{emptyset} or any table the same
+/// chain passes through: its prefix set must be exactly the order's
+/// bottom d = |start.vars| variables, and the chain runs only the
+/// remaining n - d compactions.  Node ids are canonical along a chain,
+/// so the table after the bottom d compactions depends only on those d
+/// variables in that order, and the result is bit for bit the size a
+/// chain from TABLE_{emptyset} gives.  `start` is read, never mutated
+/// (threads may share one).  When `keep` is nonempty the chain writes
+/// its depth-k table (the one whose prefix set is the bottom k
+/// variables) into keep[k - 1] for every depth k <= keep.size() it
+/// reaches, so later chains sharing that many bottom variables can
+/// start there.  A stopped `gov` returns kAbortedSize and leaves keep's
+/// unreached entries unspecified.  This is the primitive under
+/// reorder::CostOracle.
+std::uint64_t diagram_size_from_base(const PrefixTable& start,
                                      const std::vector<int>& order_root_first,
                                      DiagramKind kind, ChainScratch& scratch,
                                      OpCounter* ops = nullptr,
-                                     const rt::Governor* gov = nullptr);
+                                     const rt::Governor* gov = nullptr,
+                                     std::span<PrefixTable> keep = {});
 
 /// MTBDD variant of diagram_size_for_order.
 std::uint64_t diagram_size_for_order_values(

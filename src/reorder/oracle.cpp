@@ -1,6 +1,8 @@
 #include "reorder/oracle.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <span>
 
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -16,6 +18,14 @@ int bits_for(int n) {
   int bits = 1;
   while ((1 << bits) < n) ++bits;
   return bits;
+}
+
+/// Bottom compactions two root-first orders' chains have in common: the
+/// length of the orders' common suffix.
+int shared_depth(const std::vector<int>& a, const std::vector<int>& b) {
+  return static_cast<int>(
+      std::mismatch(a.rbegin(), a.rend(), b.rbegin(), b.rend()).first -
+      a.rbegin());
 }
 
 }  // namespace
@@ -96,8 +106,29 @@ std::vector<std::uint64_t> CostOracle::sizes_for_orders(
     misses.push_back(i);
   }
 
-  // Fan the misses out, one candidate per chunk by default; per-slot
-  // chain scratch and OpCounter shards, merged commutatively.
+  // Shared prefixes: a miss whose order ends in the same d variables as
+  // the first miss's (the spine's) continues the spine's chain from its
+  // depth-d table.  The spine keeps its tables up to the deepest depth
+  // any miss shares; with none shared, every miss runs from
+  // TABLE_{emptyset}.
+  std::vector<int> shared(misses.size(), 0);
+  int deepest = 0;
+  for (std::size_t j = 1; j < misses.size(); ++j) {
+    shared[j] =
+        shared_depth(candidates[static_cast<std::size_t>(misses[0])],
+                     candidates[static_cast<std::size_t>(misses[j])]);
+    deepest = std::max(deepest, shared[j]);
+  }
+  if (spine_.size() < static_cast<std::size_t>(deepest))
+    spine_.resize(static_cast<std::size_t>(deepest));
+
+  // Two waves, each fanned out one candidate per chunk by default: the
+  // spine beside the misses that share nothing with it, then the misses
+  // that continue from its kept tables.  Per-slot chain scratch and
+  // OpCounter shards, merged commutatively.
+  std::vector<std::uint64_t> waves[2];
+  for (std::size_t j = 0; j < misses.size(); ++j)
+    waves[j == 0 || shared[j] == 0 ? 0 : 1].push_back(j);
   struct Scratch {
     core::ChainScratch chain;
     core::OpCounter ops;
@@ -106,18 +137,31 @@ std::vector<std::uint64_t> CostOracle::sizes_for_orders(
   const std::uint64_t grain = ctx.exec.grain != 0 ? ctx.exec.grain : 1;
   std::vector<Scratch> scratch(
       static_cast<std::size_t>(par::ThreadPool::clamp_threads(threads)));
-  par::ThreadPool::shared().parallel_for(
-      std::uint64_t{0}, misses.size(), grain, threads,
-      gov != nullptr ? gov->stop_flag() : nullptr,
-      [&](std::uint64_t j, int slot) {
-        OVO_TRACE_SPAN_ARGS("oracle.eval", "oracle", slot, "candidate",
-                            misses[static_cast<std::size_t>(j)], nullptr, 0);
-        Scratch& sc = scratch[static_cast<std::size_t>(slot)];
-        const std::size_t i =
-            static_cast<std::size_t>(misses[static_cast<std::size_t>(j)]);
-        sizes[i] = core::diagram_size_from_base(base_, candidates[i], kind_,
-                                                sc.chain, &sc.ops, gov);
-      });
+  const auto run_wave = [&](const std::vector<std::uint64_t>& wave) {
+    par::ThreadPool::shared().parallel_for(
+        std::uint64_t{0}, wave.size(), grain, threads,
+        gov != nullptr ? gov->stop_flag() : nullptr,
+        [&](std::uint64_t k, int slot) {
+          const std::size_t j = static_cast<std::size_t>(wave[k]);
+          const std::size_t i = static_cast<std::size_t>(misses[j]);
+          OVO_TRACE_SPAN_ARGS("oracle.eval", "oracle", slot, "candidate", i,
+                              nullptr, 0);
+          Scratch& sc = scratch[static_cast<std::size_t>(slot)];
+          const core::PrefixTable& start =
+              shared[j] == 0 ? base_
+                             : spine_[static_cast<std::size_t>(shared[j] - 1)];
+          const std::span<core::PrefixTable> keep(
+              spine_.data(), j == 0 ? static_cast<std::size_t>(deepest) : 0);
+          sizes[i] = core::diagram_size_from_base(
+              start, candidates[i], kind_, sc.chain, &sc.ops, gov, keep);
+        });
+  };
+  run_wave(waves[0]);
+  // A stopped spine leaves its kept tables unfinished: the misses that
+  // would continue from them stay aborted.
+  if (!misses.empty() &&
+      sizes[static_cast<std::size_t>(misses[0])] != core::kAbortedSize)
+    run_wave(waves[1]);
   for (const Scratch& sc : scratch) stats_.ops += sc.ops;
 
   // Serial store pass: count and memoize the evaluations that completed.

@@ -3,9 +3,9 @@
 // candidate reading orders through one CostOracle, which owns
 //
 //  * the base prefix table TABLE_{emptyset} (built once per function),
-//  * the chain-evaluation scratch — compact_into ping-pong tables and
-//    dedup table (no allocation per evaluation once their capacity
-//    covers one chain),
+//  * the chain-evaluation scratch — compact_into ping-pong tables, dedup
+//    table, and the kept spine tables below (no allocation per
+//    evaluation once their capacity covers one chain),
 //  * an order-keyed memo cache (ovo::ds::ComputedCache) so repeated
 //    candidates across sift passes, windows, restarts, and ladder stages
 //    are evaluated once, and
@@ -17,6 +17,27 @@
 // governor is charged per *query* — identically to the pre-oracle code —
 // so a governed run trips at the same point whether or not the cache is
 // warm.  Memoization only skips the computation.
+//
+// Shared-prefix batches: a chain evaluation compacts bottom level first,
+// and candidates in one batch mostly agree at the bottom (a sift step's
+// candidates differ only in one variable's position, a window step's
+// share everything below the window).  After the memo pre-pass the
+// first miss is the *spine*; every other miss gets a *shared depth* d,
+// the length of the common suffix of its root-first order and the
+// spine's.  The spine runs in full and keeps its tables at depths
+// 1..D (D = the largest shared depth); a miss with d > 0 starts from the
+// spine's depth-d table and runs only its remaining n - d compactions.
+// This is exact: node ids are canonical along a chain, so the table and
+// MINCOST after the bottom d compactions depend only on those d
+// variables in that order — a continued chain gives bit for bit the size
+// a chain from TABLE_{emptyset} gives.  The kept tables hold
+// 2^{n-1} + ... + 2^{n-D} < 2^n cells and are reused across batches.
+// Misses run in two waves over the pool: the spine beside the misses
+// with d = 0, then the misses that continue from the spine.  Counters:
+// queries / evals / memo_hits come from the serial pre-pass and are
+// unchanged by sharing, and the governor is still charged
+// chain_eval_cost() per admitted query; only stats().ops — the COMPACT
+// calls actually made — falls.
 //
 // Memo keying: an order is packed into ceil(log2 n) bits per variable,
 // root first, into the cache's 96-bit (uint64, uint32) key.  The packing
@@ -70,15 +91,16 @@ class CostOracle {
   std::uint64_t size_for_order(const std::vector<int>& order_root_first,
                                const rt::Governor* gov = nullptr);
 
-  /// Batch evaluation of candidate orders, fanned out as a one-node
-  /// region on the task-graph scheduler, preserving the pre-oracle
+  /// Batch evaluation of candidate orders, preserving the pre-oracle
   /// semantics bit for bit: with ctx.gov the batch is first
   /// truncated — serially — to the prefix the remaining work budget
   /// admits (chain_eval_cost() units per candidate, charged whether or
   /// not the candidate later hits the memo), then memo hits are resolved
-  /// serially and only the misses fan out (one candidate per chunk by
-  /// default).  Entries not admitted or hard-stopped mid-chain hold
-  /// core::kAbortedSize, which no selection scan can pick as a best.
+  /// serially and only the misses run, as a shared-prefix family (see
+  /// the header comment) fanned out one candidate per chunk by default.
+  /// Entries not admitted or hard-stopped mid-chain hold
+  /// core::kAbortedSize, which no selection scan can pick as a best; a
+  /// stopped spine leaves every miss that would continue from it there.
   std::vector<std::uint64_t> sizes_for_orders(
       const std::vector<std::vector<int>>& candidates,
       const EvalContext& ctx);
@@ -96,6 +118,9 @@ class CostOracle {
   int bits_per_var_ = 0;  ///< 0 = memo disabled (packed order > 96 bits)
   ds::ComputedCache memo_;
   core::ChainScratch scratch_;
+  /// The current batch's spine tables: spine_[k - 1] holds the depth-k
+  /// table (2^{n-k} cells, under 2^n in all), reused across batches.
+  std::vector<core::PrefixTable> spine_;
   OracleStats stats_;
 };
 

@@ -72,7 +72,8 @@ struct Budget {
   std::uint64_t node_limit = 0;
   /// Peak resident bytes (approximated as cells * sizeof(cell)).
   std::uint64_t bytes_limit = 0;
-  /// Checkpoints between wall-clock reads (poll/charge calls).
+  /// Checkpoints between wall-clock reads in poll()/charge(); the
+  /// serial admit_work()/admit_charge_batch() read the clock every call.
   std::uint64_t check_interval = 1024;
   /// Optional external cancellation; not owned.
   CancelToken* cancel = nullptr;
@@ -150,13 +151,16 @@ class Governor {
   /// Deterministic pre-check: true iff `upcoming` more work units fit in
   /// work_limit and no hard stop has occurred.  Refusal notes kDeadline
   /// but does not hard-stop (later, cheaper stages may still run).
+  /// Runs a checkpoint that always reads the wall clock: admissions come
+  /// once per batch or layer, too rarely for check_interval sampling.
   bool admit_work(std::uint64_t upcoming);
 
   /// Deterministic batch admission for homogeneous candidate batches:
   /// returns how many of `count` items costing `per_item` work units
   /// each still fit in the work budget, and charges the admitted total.
   /// Call only at serial program points (the decision must not race).
-  /// Returns 0 when hard-stopped; notes kDeadline on truncation.
+  /// Returns 0 when hard-stopped; notes kDeadline on truncation.  Reads
+  /// the wall clock on every call, as admit_work() does.
   std::uint64_t admit_charge_batch(std::uint64_t per_item,
                                    std::uint64_t count);
 
@@ -202,6 +206,8 @@ class Governor {
 
  private:
   bool over_deadline();
+  /// poll() body; `read_clock` reads the wall clock whatever the count.
+  bool checkpoint(bool read_clock);
   void note(Outcome o);  ///< records a soft refusal (first wins)
 
   const Budget budget_;

@@ -58,7 +58,9 @@ bool Governor::over_deadline() {
              .count() >= static_cast<long long>(budget_.deadline_ms);
 }
 
-bool Governor::poll() {
+bool Governor::poll() { return checkpoint(/*read_clock=*/false); }
+
+bool Governor::checkpoint(bool read_clock) {
   const std::uint64_t cp =
       checkpoints_.fetch_add(1, std::memory_order_relaxed) + 1;
   mirror(obs::Metric::kRtCheckpoints, 1);
@@ -69,7 +71,8 @@ bool Governor::poll() {
   }
   const std::uint64_t interval =
       budget_.check_interval == 0 ? 1 : budget_.check_interval;
-  if (budget_.deadline_ms != 0 && cp % interval == 0 && over_deadline())
+  if (budget_.deadline_ms != 0 && (read_clock || cp % interval == 0) &&
+      over_deadline())
     stop(Outcome::kDeadline);
   return stopped();
 }
@@ -80,7 +83,7 @@ void Governor::restore_work(std::uint64_t units) {
 }
 
 bool Governor::admit_work(std::uint64_t upcoming) {
-  if (poll()) return false;
+  if (checkpoint(/*read_clock=*/true)) return false;
   if (budget_.work_limit != 0 &&
       work_.load(std::memory_order_relaxed) + upcoming >
           budget_.work_limit) {
@@ -92,7 +95,7 @@ bool Governor::admit_work(std::uint64_t upcoming) {
 
 std::uint64_t Governor::admit_charge_batch(std::uint64_t per_item,
                                            std::uint64_t count) {
-  if (poll()) return 0;
+  if (checkpoint(/*read_clock=*/true)) return 0;
   std::uint64_t admitted = count;
   if (budget_.work_limit != 0 && per_item != 0) {
     const std::uint64_t spent = work_.load(std::memory_order_relaxed);

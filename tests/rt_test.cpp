@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bdd/manager.hpp"
@@ -106,6 +108,23 @@ TEST(Governor, WallDeadlineTripsEventually) {
   for (int i = 0; i < 1'000'000 && !stopped; ++i) stopped = gov.poll();
   EXPECT_TRUE(stopped);
   EXPECT_EQ(gov.outcome(), Outcome::kDeadline);
+}
+
+TEST(Governor, SerialAdmissionsReadTheClockEveryCall) {
+  Budget b;
+  b.deadline_ms = 1;  // default check_interval: polls sample the clock
+  Governor gov(b);
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  EXPECT_FALSE(gov.poll());  // the 1st poll does not read the clock
+  EXPECT_EQ(gov.admit_charge_batch(10, 4), 0u);
+  EXPECT_TRUE(gov.stopped());
+  EXPECT_EQ(gov.outcome(), Outcome::kDeadline);
+  EXPECT_EQ(gov.stats().work_units, 0u);
+
+  Governor work_gov(b);
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  EXPECT_FALSE(work_gov.admit_work(1));
+  EXPECT_EQ(work_gov.outcome(), Outcome::kDeadline);
 }
 
 TEST(Outcome, Names) {

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "bdd/dynamic_reorder.hpp"
@@ -331,6 +334,315 @@ TEST(ParallelReachableSize, MatchesSerialOnLargeDag) {
   exec.num_threads = 4;
   EXPECT_EQ(bdd::shared_reachable_size(m, {root}, exec),
             bdd::shared_reachable_size(m, {root}));
+}
+
+// ---------------------------------------------------------------------------
+// Shared-prefix batches: sizes_for_orders runs its first miss (the spine)
+// in full and every other miss only above the depth its order shares
+// with the spine's.  Each size must equal a lone chain's, and the memo
+// accounting must be the serial pre-pass's, for every batch shape.
+
+/// One function to evaluate: a truth table (BDD/ZDD) or a value table
+/// over {0, ..., 4} (MTBDD, up to 5 terminals).
+struct Instance {
+  core::DiagramKind kind;
+  int n;
+  tt::TruthTable f;
+  std::vector<std::int64_t> values;
+
+  std::unique_ptr<CostOracle> oracle() const {
+    if (kind == core::DiagramKind::kMtbdd)
+      return std::make_unique<CostOracle>(values, n);
+    return std::make_unique<CostOracle>(f, kind);
+  }
+};
+
+Instance make_instance(core::DiagramKind kind, int n) {
+  util::Xoshiro256 rng(1000 + static_cast<std::uint64_t>(n));
+  Instance in{kind, n, tt::random_function(n, rng), {}};
+  if (kind == core::DiagramKind::kMtbdd)
+    for (std::uint64_t a = 0; a < (std::uint64_t{1} << n); ++a)
+      in.values.push_back(static_cast<std::int64_t>(rng.below(5)));
+  return in;
+}
+
+Order shuffled(int n, util::Xoshiro256& rng) {
+  Order o = identity(n);
+  for (int i = n - 1; i > 0; --i)
+    std::swap(o[static_cast<std::size_t>(i)],
+              o[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  return o;
+}
+
+/// Every insertion position of `v` in `order` (a sift step's batch).
+std::vector<Order> insertion_set(const Order& order, int v) {
+  Order work = order;
+  work.erase(std::find(work.begin(), work.end(), v));
+  std::vector<Order> batch;
+  for (std::size_t p = 0; p <= work.size(); ++p) {
+    Order c = work;
+    c.insert(c.begin() + static_cast<std::ptrdiff_t>(p), v);
+    batch.push_back(std::move(c));
+  }
+  return batch;
+}
+
+/// Every permutation of `order`'s slots [s, s + w) (a window step).
+std::vector<Order> window_set(const Order& order, int s, int w) {
+  Order slot(order.begin() + s, order.begin() + s + w);
+  std::sort(slot.begin(), slot.end());
+  std::vector<Order> batch;
+  do {
+    Order c = order;
+    std::copy(slot.begin(), slot.end(), c.begin() + s);
+    batch.push_back(std::move(c));
+  } while (std::next_permutation(slot.begin(), slot.end()));
+  return batch;
+}
+
+std::vector<std::vector<Order>> batch_shapes(int n) {
+  util::Xoshiro256 rng(77 + static_cast<std::uint64_t>(n));
+  const Order start = shuffled(n, rng);
+  std::vector<std::vector<Order>> batches;
+  for (int v = 0; v < n; ++v) batches.push_back(insertion_set(start, v));
+  for (const int w : {3, 4})
+    for (int s = 0; s + w <= n; ++s)
+      batches.push_back(window_set(start, s, w));
+  std::vector<Order> restarts;  // unrelated orders: d = 0 almost always
+  for (int t = 0; t < 8; ++t) restarts.push_back(shuffled(n, rng));
+  batches.push_back(restarts);
+  // Duplicates: a repeated spine (d = n) and a repeated later candidate.
+  std::vector<Order> dups = insertion_set(shuffled(n, rng), 0);
+  dups.push_back(dups.front());
+  dups.push_back(dups.back());
+  batches.push_back(dups);
+  batches.push_back({shuffled(n, rng)});  // a single miss
+  return batches;
+}
+
+/// Sizes and counter deltas of one batch.
+struct BatchRun {
+  std::vector<std::uint64_t> sizes;
+  std::uint64_t queries, evals, memo_hits;
+};
+
+BatchRun run_batch(CostOracle& oracle, const std::vector<Order>& batch,
+                   int threads, rt::Governor* gov = nullptr) {
+  const OracleStats before = oracle.stats();
+  EvalContext ctx;
+  ctx.exec.num_threads = threads;
+  ctx.gov = gov;
+  BatchRun r;
+  r.sizes = oracle.sizes_for_orders(batch, ctx);
+  r.queries = oracle.stats().queries - before.queries;
+  r.evals = oracle.stats().evals - before.evals;
+  r.memo_hits = oracle.stats().memo_hits - before.memo_hits;
+  return r;
+}
+
+TEST(SharedPrefixBatches, MatchOneLoneChainPerCandidate) {
+  for (const core::DiagramKind kind :
+       {core::DiagramKind::kBdd, core::DiagramKind::kZdd,
+        core::DiagramKind::kMtbdd}) {
+    for (int n = 1; n <= 12; ++n) {
+      const Instance in = make_instance(kind, n);
+      const std::vector<std::vector<Order>> batches = batch_shapes(n);
+      // Reference: one size_for_order per candidate on a fresh oracle.
+      const std::unique_ptr<CostOracle> lone = in.oracle();
+      if (kind == core::DiagramKind::kMtbdd && n >= 4) {
+        ASSERT_GT(lone->base().num_terminals, 2u);
+      }
+      std::vector<std::vector<std::uint64_t>> want;
+      for (const std::vector<Order>& b : batches) {
+        want.emplace_back();
+        for (const Order& o : b) want.back().push_back(lone->size_for_order(o));
+      }
+      std::vector<BatchRun> serial;
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "kind=" << static_cast<int>(kind) << " n=" << n
+                     << " threads=" << threads);
+        const std::unique_ptr<CostOracle> batched = in.oracle();
+        for (std::size_t k = 0; k < batches.size(); ++k) {
+          const BatchRun r = run_batch(*batched, batches[k], threads);
+          EXPECT_EQ(r.sizes, want[k]) << "batch " << k;
+          EXPECT_EQ(r.queries, batches[k].size());
+          EXPECT_EQ(r.evals + r.memo_hits, r.queries);
+          if (k == 0) {
+            EXPECT_EQ(r.memo_hits, 0u);  // fresh memo: all miss
+          }
+          if (threads == 1) {
+            serial.push_back(r);
+          } else {
+            EXPECT_EQ(r.evals, serial[k].evals) << "batch " << k;
+            EXPECT_EQ(r.memo_hits, serial[k].memo_hits) << "batch " << k;
+          }
+        }
+        // Duplicates inside one batch are all misses: the pre-pass looks
+        // up before anything of the batch is stored.
+        const std::unique_ptr<CostOracle> fresh = in.oracle();
+        const std::vector<Order>& dups = batches[batches.size() - 2];
+        const BatchRun d = run_batch(*fresh, dups, threads);
+        EXPECT_EQ(d.sizes, want[batches.size() - 2]);
+        EXPECT_EQ(d.evals, dups.size());
+      }
+    }
+  }
+}
+
+TEST(SharedPrefixBatches, MemoHitsMoveTheSpineToALaterCandidate) {
+  for (const core::DiagramKind kind :
+       {core::DiagramKind::kBdd, core::DiagramKind::kZdd,
+        core::DiagramKind::kMtbdd}) {
+    const Instance in = make_instance(kind, 9);
+    util::Xoshiro256 rng(5);
+    const std::vector<Order> batch = insertion_set(shuffled(9, rng), 4);
+    const std::unique_ptr<CostOracle> lone = in.oracle();
+    std::vector<std::uint64_t> want;
+    for (const Order& o : batch) want.push_back(lone->size_for_order(o));
+    for (const int threads : {1, 2, 4}) {
+      // The first candidate is a hit, so the spine is the second.
+      const std::unique_ptr<CostOracle> first_hit = in.oracle();
+      first_hit->size_for_order(batch.front());
+      const BatchRun a = run_batch(*first_hit, batch, threads);
+      EXPECT_EQ(a.sizes, want);
+      EXPECT_EQ(a.memo_hits, 1u);
+      EXPECT_EQ(a.evals, batch.size() - 1);
+      // All but the last are hits: a single miss runs alone.
+      const std::unique_ptr<CostOracle> one_miss = in.oracle();
+      for (std::size_t i = 0; i + 1 < batch.size(); ++i)
+        one_miss->size_for_order(batch[i]);
+      const BatchRun b = run_batch(*one_miss, batch, threads);
+      EXPECT_EQ(b.sizes, want);
+      EXPECT_EQ(b.evals, 1u);
+      EXPECT_EQ(b.memo_hits, batch.size() - 1);
+    }
+  }
+}
+
+TEST(SharedPrefixBatches, CancelledMidSpineReturnsOnlyExactOrAborted) {
+  util::Xoshiro256 rng(16);
+  const tt::TruthTable f = tt::random_function(16, rng);
+  const std::vector<Order> batch = insertion_set(shuffled(16, rng), 3);
+  CostOracle lone(f, core::DiagramKind::kBdd);
+  std::vector<std::uint64_t> want;
+  for (const Order& o : batch) want.push_back(lone.size_for_order(o));
+  for (const int threads : {1, 4}) {
+    for (const int delay_us : {0, 50, 200, 1000, 5000}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " delay_us=" << delay_us);
+      CostOracle oracle(f, core::DiagramKind::kBdd);
+      rt::CancelToken token;
+      rt::Budget budget;
+      budget.cancel = &token;
+      rt::Governor gov(budget);
+      std::thread stopper([&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+        gov.stop(rt::Outcome::kCancelled);
+      });
+      const BatchRun r = run_batch(oracle, batch, threads, &gov);
+      stopper.join();
+      std::uint64_t finished = 0;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (r.sizes[i] == core::kAbortedSize) continue;
+        EXPECT_EQ(r.sizes[i], want[i]) << "candidate " << i;
+        ++finished;
+      }
+      // A stop before the admission admits nothing; after it, all.
+      EXPECT_TRUE(r.queries == 0 || r.queries == batch.size());
+      EXPECT_EQ(r.memo_hits, 0u);
+      EXPECT_EQ(r.evals, finished);  // aborted chains are not counted
+      // ...nor memoized: an ungoverned rerun evaluates them for real.
+      const BatchRun again = run_batch(oracle, batch, threads);
+      EXPECT_EQ(again.sizes, want);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeding pins, computed before batches shared their bottom levels: the
+// seed order, its bound and the memo accounting (which chains run is
+// decided by the serial pre-pass) must not move at any thread count.
+
+struct SeedPin {
+  const char* seed;
+  std::uint64_t upper_bound, queries, evals, memo_hits;
+  Order order;
+};
+
+TEST(SeedPins, SharedPrefixesKeepSeedsAndAccounting) {
+  const struct {
+    const char* name;
+    tt::TruthTable f;
+    std::vector<SeedPin> pins;
+  } cases[] = {
+      {"hwb12",
+       tt::hidden_weighted_bit(12),
+       {{"sift", 137, 577, 435, 142, {0, 11, 10, 9, 1, 8, 2, 7, 3, 4, 5, 6}},
+        {"window", 238, 61, 42, 19, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+        {"restarts", 181, 16, 16, 0, {2, 10, 6, 0, 11, 1, 7, 8, 5, 9, 3, 4}}}},
+      {"adder12",
+       tt::adder_carry(12),
+       {{"sift", 17, 145, 122, 23, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+        {"window", 17, 61, 42, 19, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+        {"restarts", 29, 16, 16, 0, {10, 7, 11, 4, 6, 5, 1, 8, 0, 3, 2, 9}}}},
+  };
+  for (const auto& c : cases) {
+    for (const SeedPin& pin : c.pins) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << c.name << " " << pin.seed
+                                        << " threads=" << threads);
+        CostOracle oracle(c.f, core::DiagramKind::kBdd);
+        EvalContext ctx;
+        ctx.exec.num_threads = threads;
+        const PruneSeedResult s =
+            seed_prune_bound(oracle, pin.seed, 8, 16, 42, ctx);
+        EXPECT_EQ(s.order_root_first, pin.order);
+        EXPECT_EQ(s.upper_bound, pin.upper_bound);
+        EXPECT_EQ(oracle.stats().queries, pin.queries);
+        EXPECT_EQ(oracle.stats().evals, pin.evals);
+        EXPECT_EQ(oracle.stats().memo_hits, pin.memo_hits);
+      }
+    }
+  }
+}
+
+TEST(SeedPins, WorkLimitedSiftAdmitsTheSameWork) {
+  for (const tt::TruthTable& f :
+       {tt::hidden_weighted_bit(12), tt::adder_carry(12)}) {
+    for (const int threads : {1, 4}) {
+      CostOracle oracle(f, core::DiagramKind::kBdd);
+      rt::Governor gov(rt::Budget::with_work_limit(300000));
+      EvalContext ctx;
+      ctx.exec.num_threads = threads;
+      ctx.gov = &gov;
+      const OrderSearchResult r = sift(oracle, identity(12), 8, ctx);
+      EXPECT_EQ(gov.outcome(), rt::Outcome::kDeadline);
+      EXPECT_EQ(r.orders_evaluated, 36u);
+      EXPECT_EQ(gov.stats().work_units, 294840u);
+      EXPECT_EQ(oracle.stats().queries, 36u);
+      EXPECT_EQ(oracle.stats().evals, 31u);
+      EXPECT_EQ(oracle.stats().memo_hits, 5u);
+    }
+  }
+}
+
+TEST(GovernedSift, OneMillisecondDeadlineStops) {
+  // Serial batch admissions are far fewer than check_interval polls; they
+  // read the clock themselves, so a sift on 16 variables (hundreds of
+  // milliseconds unbudgeted) stops at its deadline.
+  util::Xoshiro256 rng(16);
+  const tt::TruthTable f = tt::random_function(16, rng);
+  rt::Budget budget;
+  budget.deadline_ms = 1;
+  ASSERT_EQ(budget.check_interval, 1024u);
+  rt::Governor gov(budget);
+  CostOracle oracle(f, core::DiagramKind::kBdd);
+  EvalContext ctx;
+  ctx.gov = &gov;
+  const OrderSearchResult r = sift(oracle, identity(16), 8, ctx);
+  EXPECT_EQ(gov.outcome(), rt::Outcome::kDeadline);
+  EXPECT_FALSE(r.order_root_first.empty());
 }
 
 }  // namespace

@@ -180,6 +180,29 @@ std::uint64_t parse_u64_flag(const char* flag, const std::string& value) {
   }
 }
 
+/// Takes `arg` as subcommand `cmd`'s one positional <input>.  An
+/// unrecognised `--` option (or one missing its value) and a second
+/// positional argument are usage errors: prints one naming `arg` and
+/// returns false, so the caller exits 2 instead of running on a guess.
+bool take_input(const char* cmd, const std::string& arg, std::string& input) {
+  if (arg.rfind("--", 0) == 0) {
+    std::fprintf(stderr,
+                 "%s: unknown option '%s', or it lacks its value (see "
+                 "ovo usage)\n",
+                 cmd, arg.c_str());
+    return false;
+  }
+  if (!input.empty()) {
+    std::fprintf(stderr,
+                 "%s: unexpected argument '%s' (input already given as "
+                 "'%s')\n",
+                 cmd, arg.c_str(), input.c_str());
+    return false;
+  }
+  input = arg;
+  return true;
+}
+
 void appendf(std::string& s, const char* fmt, ...) {
   char buf[512];
   va_list ap;
@@ -363,8 +386,8 @@ int cmd_order(const std::vector<std::string>& args) {
       fault_requested = true;
     } else if (args[i] == "--fault-seed" && i + 1 < args.size()) {
       fault_schedule.seed = parse_u64_flag("--fault-seed", args[++i]);
-    } else {
-      input = args[i];
+    } else if (!take_input("order", args[i], input)) {
+      return 2;
     }
   }
   OVO_CHECK_MSG(!input.empty(), "order: missing input");
@@ -527,8 +550,8 @@ int cmd_size(const std::vector<std::string>& args) {
       kind = core::DiagramKind::kZdd;
     } else if (args[i] == "--order" && i + 1 < args.size()) {
       order_spec = args[++i];
-    } else {
-      input = args[i];
+    } else if (!take_input("size", args[i], input)) {
+      return 2;
     }
   }
   OVO_CHECK_MSG(!input.empty() && !order_spec.empty(),
@@ -551,8 +574,8 @@ int cmd_compare(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
       exec = parse_threads(args[++i]);
-    } else {
-      input = args[i];
+    } else if (!take_input("compare", args[i], input)) {
+      return 2;
     }
   }
   OVO_CHECK_MSG(!input.empty(), "compare: missing input");
@@ -580,9 +603,15 @@ int cmd_compare(const std::vector<std::string>& args) {
 int cmd_tables(const std::vector<std::string>& args) {
   int k = 6, iters = 10;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--k" && i + 1 < args.size()) k = std::stoi(args[++i]);
-    if (args[i] == "--iters" && i + 1 < args.size())
+    if (args[i] == "--k" && i + 1 < args.size()) {
+      k = std::stoi(args[++i]);
+    } else if (args[i] == "--iters" && i + 1 < args.size()) {
       iters = std::stoi(args[++i]);
+    } else {
+      std::fprintf(stderr, "tables: unexpected argument '%s'\n",
+                   args[i].c_str());
+      return 2;
+    }
   }
   std::printf("Table 1 (gamma_k):\n");
   for (int kk = 1; kk <= k; ++kk) {
@@ -598,8 +627,11 @@ int cmd_tables(const std::vector<std::string>& args) {
 }
 
 int cmd_dot(const std::vector<std::string>& args) {
-  OVO_CHECK_MSG(args.size() == 1, "dot: exactly one input");
-  const LoadedInput loaded = load_input(args[0]);
+  std::string input;
+  for (const std::string& arg : args)
+    if (!take_input("dot", arg, input)) return 2;
+  OVO_CHECK_MSG(!input.empty(), "dot: missing input");
+  const LoadedInput loaded = load_input(input);
   const tt::TruthTable& f = loaded.outputs.front();
   const auto r = core::fs_minimize(f);
   bdd::Manager m(f.num_vars(), r.order_root_first);

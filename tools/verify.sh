@@ -20,13 +20,15 @@
 # the FS bench runs with --prune bounds and its rows must carry the
 # pruning ledger — a CLI guard that a bound-pruned `ovo order` run
 # returns the identical order and size as the dense default, and a check
-# that `--strategy fs` rejects every budget flag with exit 2.  Quick mode
-# also smokes `ovo order --trace` (the exported Chrome trace must be
-# valid JSON with fs.group/fs.fence spans and per-thread monotone
-# timestamps), builds the OVO_FUZZ targets for a fixed-seed random smoke
-# plus corpus replay, and runs the trimmed CLI chaos sweep
-# (tools/chaos.sh --quick): torn-write/fault injection through the CLI
-# with typed exit codes and resume-to-identical-bytes checks.
+# that `--strategy fs` rejects every budget flag with exit 2, and that
+# every subcommand rejects an unknown option or a stray argument with
+# exit 2.  Quick mode also smokes `ovo order --trace` (the exported
+# Chrome trace must be valid JSON with fs.group/fs.fence spans and
+# per-thread monotone timestamps), builds the OVO_FUZZ targets for a
+# fixed-seed random smoke plus corpus replay, and runs the trimmed CLI
+# chaos sweep (tools/chaos.sh --quick): torn-write/fault injection
+# through the CLI with typed exit codes and resume-to-identical-bytes
+# checks.
 #
 # Both modes check that the strategy table in README.md (between the
 # `<!-- strategies:begin -->` / `<!-- strategies:end -->` markers) matches
@@ -123,6 +125,25 @@ if [[ "${QUICK}" -eq 1 ]]; then
     [[ "${rc}" -eq 2 ]]
     grep -q -- '--strategy auto' "${smoke_dir}/err.txt"
   done
+  echo "==== quick: unknown options are usage errors ==============="
+  # A mistyped flag or a stray argument is never read as the input: each
+  # subcommand exits 2 with a message naming the argument.
+  expect_usage_error() {  # $1: the argument the message names; rest: args
+    local name="$1"
+    shift
+    rc=0
+    build/tools/ovo "$@" >/dev/null 2>"${smoke_dir}/err.txt" || rc=$?
+    [[ "${rc}" -eq 2 ]]
+    grep -q -- "'${name}'" "${smoke_dir}/err.txt"
+  }
+  expect_usage_error --timout-ms order --threads 2 --timout-ms 100 \
+    --strategy window "${smoke_fn}"
+  expect_usage_error --bogus order "${smoke_fn}" --bogus
+  expect_usage_error x9 order "${smoke_fn}" x9
+  expect_usage_error --bogus size --order 1,2 --bogus "${smoke_fn}"
+  expect_usage_error x9 compare "${smoke_fn}" x9
+  expect_usage_error --bogus dot --bogus "${smoke_fn}"
+  expect_usage_error --kk tables --kk 2
   echo "==== quick: checkpoint round-trip smoke ===================="
   # A run interrupted mid-DP (deterministic fault injection standing in
   # for SIGINT) must leave a resumable snapshot, and the resumed run's
