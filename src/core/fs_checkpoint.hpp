@@ -114,8 +114,11 @@ struct FsStarSnapshot {
   /// later admit decisions replay the uninterrupted run's.
   std::uint64_t work_charged = 0;
 
-  /// The *effective* pruning incumbent (after self-seeding), so a resume
-  /// prunes against the identical bound without re-running the seed.
+  /// The *effective* pruning incumbent (the minimum of the caller's and
+  /// the DP-greedy bound), so a resume prunes against the identical
+  /// bound without re-running the seed or the DP-greedy step.  A layer-0
+  /// snapshot may hold a weaker bound (the run stopped inside the step);
+  /// resuming it runs the step again, and its `ops` exclude the step.
   std::uint64_t prune_upper_bound = 0;
 
   /// Provenance: the heuristic order that seeded the incumbent (root

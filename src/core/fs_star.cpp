@@ -5,8 +5,11 @@
 #include <chrono>
 #include <cstddef>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <utility>
 
+#include "core/minimize.hpp"
 #include "ds/sparse_index.hpp"
 #include "obs/trace.hpp"
 #include "parallel/task_graph.hpp"
@@ -107,6 +110,10 @@ struct CkptPlan {
   FsFingerprint fp;
   std::uint32_t num_terminals = 2;
   std::uint64_t prune_ub = 0;  ///< effective incumbent; 0 in dense mode
+  /// Pruned runs: the op counts from before the DP-greedy step, which a
+  /// layer-0 snapshot records because a resume from layer 0 runs the
+  /// step again (see fs_star).
+  std::optional<OpCounter> ops_before_step;
 
   bool writes() const { return opts != nullptr && opts->writes(); }
   const FsStarSnapshot* resume() const {
@@ -135,7 +142,7 @@ void emit_fence_snapshot(const CkptPlan& plan, int layer,
   v.mincost = &result.mincost;
   v.prune = &result.prune;
   v.certified_lower_bound = result.certified_lower_bound;
-  v.ops = ops;
+  v.ops = layer == 0 && plan.ops_before_step ? &*plan.ops_before_step : ops;
   v.work_charged = gov != nullptr ? gov->stats().work_units : 0;
   v.prune_upper_bound = plan.prune_ub;
   v.seed_order = &plan.opts->seed_order;
@@ -396,7 +403,7 @@ FsStarResult fs_star_barrier(const PrefixTable& base, util::Mask J,
     const bool fans_out = threads > 1 && layer_size > grain;
     pool.parallel_for(0, layer_size, grain, threads, stop_flag,
                       [&](std::uint64_t rank, int slot) {
-      if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
+      if (gov != nullptr) gov->poll_clock();  // one clock read per state
       OpCounter* shard =
           ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
       const std::size_t r = static_cast<std::size_t>(rank);
@@ -641,7 +648,7 @@ FsStarResult fs_star_pipelined(const PrefixTable& base, util::Mask J,
 
     auto body = [&layers, &scratch, &shards, &j_vars, &binom, layer, kind,
                  ops, gov](std::uint64_t rank, int slot) {
-      if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
+      if (gov != nullptr) gov->poll_clock();  // one clock read per state
       Layer& cur = layers[static_cast<std::size_t>(layer)];
       Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
       OpCounter* shard =
@@ -759,6 +766,7 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
 
   if (resume != nullptr) {
     apply_resume(result, *resume);
+    result.prune.upper_bound = ub;  // a layer-0 resume reran the step
     prev = resume->tables;  // copies: one snapshot may seed many runs
     prev_dense = resume->dense;
   } else {
@@ -827,7 +835,7 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     pool.parallel_for(
         0, cand.size(), grain, threads, stop_flag,
         [&](std::uint64_t i, int slot) {
-          if (gov != nullptr) gov->poll();
+          if (gov != nullptr) gov->poll_clock();  // one clock read per state
           const std::size_t sl = static_cast<std::size_t>(slot);
           const std::size_t s = static_cast<std::size_t>(i);
           // The prune decision is state-local and the incumbent is
@@ -969,6 +977,7 @@ FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
   Layer& seed = layers[static_cast<std::size_t>(start_layer)];
   if (resume != nullptr) {
     apply_resume(result, *resume);
+    result.prune.upper_bound = ub;  // a layer-0 resume reran the step
     const std::uint64_t seed_card =
         binom.choose(j_size, start_layer);
     seed.dense.reserve(static_cast<std::size_t>(seed_card));
@@ -1017,7 +1026,7 @@ FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
 
     auto body = [&layers, &scratch, &shards, &bounds, &j_vars, &binom, &pb,
                  layer, kind, ops, gov](std::uint64_t rank, int slot) {
-      if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
+      if (gov != nullptr) gov->poll_clock();  // one clock read per state
       Layer& cur = layers[static_cast<std::size_t>(layer)];
       const Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
       const std::size_t r = static_cast<std::size_t>(rank);
@@ -1161,21 +1170,85 @@ std::uint64_t dense_dp_work(int j_size, std::uint64_t base_cells,
 
 constexpr std::uint64_t kSerialFallbackWork = std::uint64_t{1} << 13;
 
-/// Self-seed incumbent: the chain cost of placing J's variables in
-/// ascending bit order on top of `base` — one real completion, so always
-/// an admissible upper bound.  Counted into `ops` like any other chain
-/// evaluation; not governor-charged (it replaces work the caller's
-/// heuristic seeding would otherwise have spent).
-std::uint64_t ascending_chain_bound(const PrefixTable& base, util::Mask J,
-                                    DiagramKind kind, OpCounter* ops) {
-  PrefixTable cur = base;
-  PrefixTable nxt;
-  ds::UniqueTable dedup;
-  util::for_each_bit(J, [&](int v) {
-    compact_into(nxt, cur, v, kind, ops, nullptr, &dedup);
-    std::swap(cur, nxt);
-  });
-  return cur.mincost();
+/// Layer-1 states the DP-greedy incumbent completes.  On the circuit
+/// benchmark's requests, 16 found a better bound on 2 of 36 at up to
+/// twice the cost, and starting from layer 2 found none (see
+/// docs/INTERNALS.md "DP-greedy incumbent").
+constexpr std::size_t kGreedyStarts = 8;
+
+/// The DP-greedy incumbent: builds layer 1 of the DP over J in full,
+/// greedily completes its kGreedyStarts cheapest states (ties to the
+/// lower variable) within J, and returns min(caller_ub, the cheapest
+/// completion), with caller_ub == 0 meaning no caller bound.  Every
+/// completion is a real order of J on top of `base`, so the result never
+/// falls below the optimum.  Layer 1 and the completions each fan out
+/// over `threads` with per-slot scratch, and the minimum is the same at
+/// every thread count.  The compactions count into `ops` and are not
+/// governor-charged.  `gov` is polled (reading the clock) before every
+/// layer-1 state and every greedy step; once it stops, the result keeps
+/// the caller's bound or a completion already finished, and kNoCostLimit
+/// (no pruning; the stopped DP ends at its first check) when there is
+/// neither.
+std::uint64_t dp_greedy_incumbent(const PrefixTable& base, util::Mask J,
+                                  DiagramKind kind, OpCounter* ops,
+                                  int threads, rt::Governor* gov,
+                                  std::uint64_t caller_ub) {
+  OVO_TRACE_SPAN_VAR(span, "fs.incumbent", "fs", 0, "caller", caller_ub,
+                     "effective");
+  const std::vector<int> j_vars = util::bits_of(J);
+  // Layer 1 and each completion read under |J| · |base| cells apiece;
+  // below the DP's own serial-fallback work a fan-out costs more than it
+  // buys.
+  if ((kGreedyStarts + 1) * j_vars.size() * base.cells.size() <
+      kSerialFallbackWork)
+    threads = 1;
+  par::ThreadPool& pool = par::ThreadPool::shared();
+  const std::atomic<bool>* stop_flag =
+      gov != nullptr ? gov->stop_flag() : nullptr;
+  std::vector<ChainScratch> scratch(static_cast<std::size_t>(threads));
+  std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
+  const auto shard = [&](int slot) {
+    return ops != nullptr ? &shards[static_cast<std::size_t>(slot)]
+                          : nullptr;
+  };
+
+  std::vector<PrefixTable> layer1(j_vars.size());
+  pool.parallel_for(0, j_vars.size(), 1, threads, stop_flag,
+                    [&](std::uint64_t i, int slot) {
+                      if (gov != nullptr && gov->poll_clock()) return;
+                      compact_into(layer1[i], base, j_vars[i], kind,
+                                   shard(slot), nullptr,
+                                   &scratch[static_cast<std::size_t>(slot)]
+                                        .dedup);
+                    });
+  std::vector<std::size_t> starts;
+  if (gov == nullptr || !gov->stopped()) {
+    starts.resize(j_vars.size());
+    std::iota(starts.begin(), starts.end(), std::size_t{0});
+    std::stable_sort(starts.begin(), starts.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return layer1[a].mincost() < layer1[b].mincost();
+                     });
+    starts.resize(std::min(starts.size(), kGreedyStarts));
+  }
+
+  std::vector<std::uint64_t> sizes(starts.size(), kNoCostLimit);
+  pool.parallel_for(0, starts.size(), 1, threads, stop_flag,
+                    [&](std::uint64_t k, int slot) {
+                      PrefixTable& t = layer1[starts[k]];
+                      if (greedy_complete(
+                              t, J, kind,
+                              scratch[static_cast<std::size_t>(slot)],
+                              nullptr, shard(slot), gov))
+                        sizes[k] = t.mincost();
+                    });
+  if (ops != nullptr)
+    for (const OpCounter& sh : shards) *ops += sh;
+
+  std::uint64_t ub = caller_ub != 0 ? caller_ub : kNoCostLimit;
+  for (const std::uint64_t s : sizes) ub = std::min(ub, s);
+  OVO_TRACE_SET_B(span, ub);
+  return ub;
 }
 
 }  // namespace
@@ -1241,15 +1314,24 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
   const FsStarSnapshot* resume = plan.resume();
 
   if (prune) {
-    // A resume snapshot carries the *effective* incumbent of the original
-    // run (post self-seed), so resuming neither re-seeds nor re-runs the
-    // ascending chain — bounds and ops replay identically.
+    // The incumbent is fixed here, before layer 1, for both pruned
+    // engines.  A snapshot past layer 0 carries the *effective* incumbent
+    // of the original run, so resuming from it skips the DP-greedy step —
+    // bounds and ops replay identically.  A layer-0 snapshot may come
+    // from a run stopped inside the step, holding only the caller's bound
+    // or a partial minimum; resuming from it runs the step again with
+    // that bound as the caller's, which gives the uninterrupted run's
+    // min(caller, DP-greedy) because every completion is deterministic.
+    // Its ops are the count from before the step, so the step is counted
+    // once.
+    const bool run_step = resume == nullptr || resume->layer == 0;
+    if (ops != nullptr && plan.writes()) plan.ops_before_step = *ops;
     const std::uint64_t ub =
-        resume != nullptr
-            ? resume->prune_upper_bound
-            : (prune_upper_bound != 0
-                   ? prune_upper_bound
-                   : ascending_chain_bound(base, J, kind, ops));
+        run_step ? dp_greedy_incumbent(
+                       base, J, kind, ops, threads, gov,
+                       resume != nullptr ? resume->prune_upper_bound
+                                         : prune_upper_bound)
+                 : resume->prune_upper_bound;
     plan.prune_ub = ub;
     // Sparse admission counts exist only at serial layer boundaries, so
     // deterministic budget limits force the barrier engine (see

@@ -36,10 +36,14 @@
 // runs (stop_k == |J|) additionally compute an admissible per-state
 // lower bound — cost so far plus a completion bound from the table's
 // distinct-subfunction count and the block variables the function still
-// depends on — and skip every state whose bound exceeds a seeded upper
-// bound (callers pass one from a cheap heuristic; 0 self-seeds from one
-// ascending chain over J).  Layers are stored sparsely: only surviving
-// states hold cells, so pruned states cost zero bytes.  Because the
+// depends on — and skip every state whose bound exceeds an upper bound,
+// the incumbent.  The incumbent is min(the caller's bound, the DP-greedy
+// bound): before layer 1 the run builds layer 1 in full and greedily
+// completes its 8 cheapest states within J (core::greedy_complete), and
+// the cheapest completion is the DP-greedy bound.  Callers pass their
+// bound from a cheap heuristic, or 0 for none.  Layers are stored
+// sparsely: only surviving states hold cells, so pruned states cost zero
+// bytes.  Because the
 // incumbent is fixed before the DP starts and every state's bound is
 // local, the surviving set — and therefore the optimal order, size, and
 // every tie-break — is bit-identical to the dense engines at every
@@ -112,12 +116,23 @@ struct FsStarResult {
 /// published subsets) and — in pruned mode — still carries a consistent
 /// prune ledger and a certified lower bound.
 ///
-/// `prune_upper_bound` is the pruning incumbent: the exact size of some
-/// real completion of the block (chain totals, including base.mincost()),
-/// typically seeded from a cheap heuristic by the reorder layer.  0 means
-/// "self-seed" (one ascending-order chain over J).  Ignored in dense
-/// mode.  Passing a bound below the true optimum is a contract violation
-/// (every state could be pruned) and is caught by an OVO_CHECK.
+/// `prune_upper_bound` is the caller's pruning incumbent: the exact size
+/// of some real completion of the block (chain totals, including
+/// base.mincost()), typically seeded from a cheap heuristic by the
+/// reorder layer, or 0 for none.  A non-resumed pruned run prunes
+/// against min(prune_upper_bound, DP-greedy bound), or the DP-greedy
+/// bound alone when it is 0.  The DP-greedy step counts its compactions
+/// into `ops`, is not governor-charged, and polls `gov` before each
+/// layer-1 state and greedy step; stopped, it keeps the caller's bound
+/// or a completion it already finished.  The effective incumbent is
+/// what `prune.upper_bound` and written snapshots report.  A resume from
+/// a snapshot past layer 0 prunes against the snapshot's bound; one from
+/// layer 0 (which a run stopped inside the step may have written) runs
+/// the step again with the snapshot's bound as the caller's, so it prunes
+/// against the uninterrupted run's bound and counts the step once.
+/// Ignored in dense mode.  Passing a
+/// bound below the true optimum is a contract violation (every state
+/// could be pruned) and is caught by an OVO_CHECK.
 ///
 /// `ckpt` (optional) turns on durable checkpoint/resume (see
 /// fs_checkpoint.hpp): with a path (or byte hook), a snapshot of the full

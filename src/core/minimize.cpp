@@ -1,6 +1,7 @@
 #include "core/minimize.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/fs_star.hpp"
 #include "util/check.hpp"
@@ -96,6 +97,31 @@ std::uint64_t chain_size(const PrefixTable& base,
 }
 
 }  // namespace
+
+bool greedy_complete(PrefixTable& t, util::Mask block, DiagramKind kind,
+                     ChainScratch& scratch, std::vector<int>* order_bottom_up,
+                     OpCounter* ops, rt::Governor* gov) {
+  while ((t.free_mask() & block) != 0) {
+    if (gov != nullptr && gov->poll_clock()) return false;
+    // Each candidate compacts under the best cost so far, so it finishes
+    // only when it strictly beats every earlier one: the first minimum in
+    // ascending variable order.  The winner's table waits in
+    // scratch.next.
+    std::uint64_t limit = kNoCostLimit;
+    int best_var = -1;
+    util::for_each_bit(t.free_mask() & block, [&](int v) {
+      if (!compact_into(scratch.cur, t, v, kind, ops, nullptr, &scratch.dedup,
+                        limit))
+        return;
+      limit = scratch.cur.mincost();
+      best_var = v;
+      std::swap(scratch.cur, scratch.next);
+    });
+    std::swap(t, scratch.next);
+    if (order_bottom_up != nullptr) order_bottom_up->push_back(best_var);
+  }
+  return true;
+}
 
 std::uint64_t diagram_size_from_base(const PrefixTable& start,
                                      const std::vector<int>& order_root_first,

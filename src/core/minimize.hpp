@@ -32,10 +32,11 @@ struct MinimizeResult {
 /// space in the number of variables of `f`.  `exec` fans the per-layer
 /// subset sweep out over the ovo::par pool; the default is serial, and
 /// results are identical for every thread count.  With exec.prune ==
-/// PruneMode::kBounds, `prune_upper_bound` seeds the DP's pruning
-/// incumbent (0 self-seeds; see fs_star) — the result is still exact and
-/// bit-identical to the dense run.  `ckpt` enables durable
-/// checkpoint/resume of the DP (see fs_star / fs_checkpoint.hpp).
+/// PruneMode::kBounds, `prune_upper_bound` is the caller's pruning
+/// incumbent (0 for none; the DP lowers it to its DP-greedy bound, see
+/// fs_star) — the result is still exact and bit-identical to the dense
+/// run.  `ckpt` enables durable checkpoint/resume of the DP (see fs_star
+/// / fs_checkpoint.hpp).
 MinimizeResult fs_minimize(const tt::TruthTable& f,
                            DiagramKind kind = DiagramKind::kBdd,
                            const par::ExecPolicy& exec = {},
@@ -78,6 +79,21 @@ struct ChainScratch {
   PrefixTable cur, next;
   ds::UniqueTable dedup;
 };
+
+/// The greedy completion rule: until `t` has placed every variable of
+/// `block`, compact the free block variable whose compaction adds the
+/// fewest nodes (ties to the lower variable index), appending it to
+/// `order_bottom_up` when that is non-null.  Deterministic, and cheap
+/// next to the DP — O(|block| · |t.cells|) cells — so it is counted into
+/// `ops` (one COMPACT per candidate) but never governor-charged.  Each
+/// candidate compacts through `scratch` under the best cost so far
+/// (compact_into's limit), so losing candidates stop early and nothing
+/// is allocated once the scratch covers t.  A non-null `gov` is polled,
+/// reading the clock, before each step; when it is stopped the call
+/// returns false and leaves `t` a valid table part-way along the chain.
+bool greedy_complete(PrefixTable& t, util::Mask block, DiagramKind kind,
+                     ChainScratch& scratch, std::vector<int>* order_bottom_up,
+                     OpCounter* ops = nullptr, rt::Governor* gov = nullptr);
 
 /// diagram_size_for_order continuing a chain from `start` and compacting
 /// in the caller's scratch, so a caller that evaluates many orders

@@ -22,6 +22,14 @@
 //   OVO_TRACE_SPAN("fs.chunk", "sched", slot);
 //   OVO_TRACE_SPAN_ARGS("fs.group", "fs", slot, "layer", k, "chunk", c);
 //
+// A span whose second arg is only known when its region ends (a result)
+// is named, and the arg set before it closes:
+//
+//   OVO_TRACE_SPAN_VAR(span, "fs.incumbent", "fs", 0, "caller", c,
+//                      "effective");
+//   ...
+//   OVO_TRACE_SET_B(span, effective);
+//
 // `name` and `category` must be string literals (or otherwise outlive the
 // trace session); they are stored as pointers.
 
@@ -93,6 +101,9 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Sets the second arg's value; recorded when the span closes.
+  void set_b(std::uint64_t v) { bval_ = v; }
+
  private:
   const char* name_;
   const char* category_;
@@ -116,6 +127,11 @@ class Span {
       name, category, slot, akey,                                         \
       static_cast<std::uint64_t>(aval), bkey,                             \
       static_cast<std::uint64_t>(bval))
+#define OVO_TRACE_SPAN_VAR(var, name, category, slot, akey, aval, bkey) \
+  ::ovo::obs::Span var(name, category, slot, akey,                     \
+                       static_cast<std::uint64_t>(aval), bkey, 0)
+#define OVO_TRACE_SET_B(var, bval) \
+  var.set_b(static_cast<std::uint64_t>(bval))
 
 #else  // !OVO_TRACE_ENABLED — every macro compiles to nothing.
 
@@ -124,6 +140,12 @@ class Span {
   } while (false)
 #define OVO_TRACE_SPAN_ARGS(name, category, slot, akey, aval, bkey, bval) \
   do {                                                                    \
+  } while (false)
+#define OVO_TRACE_SPAN_VAR(var, name, category, slot, akey, aval, bkey) \
+  do {                                                                  \
+  } while (false)
+#define OVO_TRACE_SET_B(var, bval) \
+  do {                             \
   } while (false)
 
 #endif  // OVO_TRACE_ENABLED

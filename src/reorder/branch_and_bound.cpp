@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/minimize.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 
@@ -151,32 +152,6 @@ class Search {
   std::uint64_t pruned_dominance_ = 0;
 };
 
-/// Greedy descent (min child mincost, ties to the first free variable):
-/// the incumbent a governed cold start falls back on.  Returns the chain
-/// bottom-up and the final table's mincost.
-std::uint64_t greedy_descent(const PrefixTable& root, DiagramKind kind,
-                             std::vector<int>* chain_bottom_up) {
-  PrefixTable t = root;
-  PrefixTable cand, best_child;
-  ds::UniqueTable dedup;
-  chain_bottom_up->clear();
-  while (t.free_count() > 0) {
-    std::uint64_t best_cost = ~std::uint64_t{0};
-    int best_var = -1;
-    util::for_each_bit(t.free_mask(), [&](int v) {
-      compact_into(cand, t, v, kind, nullptr, nullptr, &dedup);
-      if (cand.mincost() < best_cost) {
-        best_cost = cand.mincost();
-        best_var = v;
-        std::swap(best_child, cand);
-      }
-    });
-    chain_bottom_up->push_back(best_var);
-    std::swap(t, best_child);
-  }
-  return t.mincost();
-}
-
 /// Shared driver: greedy incumbent for governed cold starts, then the
 /// DFS itself.  `ops`, when non-null, receives the child-generation
 /// compaction work (the oracle entry points it at its ledger; the legacy
@@ -190,7 +165,10 @@ BnbResult bnb_run(const PrefixTable& root, DiagramKind kind,
   std::vector<int> greedy_chain;
   std::uint64_t greedy_cost = ~std::uint64_t{0};
   if (gov != nullptr && initial_upper_bound == ~std::uint64_t{0}) {
-    greedy_cost = greedy_descent(root, kind, &greedy_chain);
+    PrefixTable t = root;
+    core::ChainScratch scratch;
+    core::greedy_complete(t, t.free_mask(), kind, scratch, &greedy_chain);
+    greedy_cost = t.mincost();
     initial_upper_bound = greedy_cost;
   }
 

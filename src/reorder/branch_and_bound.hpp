@@ -52,10 +52,10 @@ struct BnbResult {
 /// cost (free variables × table cells) is admitted and charged at the
 /// serial DFS entry, so a work-limit trip cuts the search at the same
 /// state for every thread count.  A cold-started governed run first
-/// seeds a greedy-descent incumbent (charged outside the budget, the
-/// price of guaranteeing *some* valid answer), so the result always
-/// carries a valid ordering; `complete` reports whether the optimum was
-/// proven.
+/// seeds a greedy incumbent (core::greedy_complete, charged outside the
+/// budget: the price of guaranteeing *some* valid answer), so the result
+/// always carries a valid ordering; `complete` reports whether the
+/// optimum was proven.
 BnbResult branch_and_bound_minimize(
     const tt::TruthTable& f,
     core::DiagramKind kind = core::DiagramKind::kBdd,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/fs_star.hpp"
+#include "core/minimize.hpp"
 #include "reorder/annealing.hpp"
 #include "reorder/baselines.hpp"
 #include "reorder/oracle.hpp"
@@ -13,35 +14,6 @@
 #include "util/rng.hpp"
 
 namespace ovo::reorder {
-
-namespace {
-
-/// Completes a partial DP chain upward: repeatedly compacts the free
-/// variable with the smallest resulting width (ties to the smallest
-/// variable index).  Deterministic, and cheap relative to the DP —
-/// O(n^2 · |cells|) — so it is not charged against the budget: it is the
-/// fixed cost of guaranteeing *some* valid answer.
-void greedy_complete(core::PrefixTable& t, core::DiagramKind kind,
-                     std::vector<int>* order_bottom_up,
-                     core::OpCounter* ops) {
-  ds::UniqueTable dedup;
-  while (t.free_count() > 0) {
-    std::uint64_t best_width = ~std::uint64_t{0};
-    int best_var = -1;
-    util::for_each_bit(t.free_mask(), [&](int v) {
-      const std::uint64_t w =
-          core::compaction_width(t, v, kind, ops, &dedup);
-      if (w < best_width) {
-        best_width = w;
-        best_var = v;
-      }
-    });
-    t = core::compact(t, best_var, kind, ops);
-    order_bottom_up->push_back(best_var);
-  }
-}
-
-}  // namespace
 
 PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,
                                  int max_passes, int restarts,
@@ -200,16 +172,29 @@ rt::Result<AutoMinimizeResult> minimize_auto(
           ? core::reconstruct_block_order(dp, seed_mask)
           : std::vector<int>{};
   core::PrefixTable table = std::move(dp.tables.at(seed_mask));
-  greedy_complete(table, options.kind, &bottom_up, &v.ops);
+  core::ChainScratch greedy_scratch;
+  core::greedy_complete(table, table.free_mask(), options.kind,
+                        greedy_scratch, &bottom_up, &v.ops);
   v.order_root_first.assign(bottom_up.rbegin(), bottom_up.rend());
   v.internal_nodes = table.mincost();
 
   // The prune-seed order is itself a salvage candidate: a tripped pruned
-  // run should never return worse than the heuristic that seeded it.
-  if (!seeded.order_root_first.empty() &&
-      seeded.upper_bound < v.internal_nodes) {
-    v.order_root_first = seeded.order_root_first;
-    v.internal_nodes = seeded.upper_bound;
+  // run should never return worse than the heuristic that seeded it.  A
+  // resumed run knows only the snapshot's effective incumbent, which the
+  // DP-greedy step may have put below the seed order's own size, so it
+  // recomputes that size with one chain, uncounted like the rest of the
+  // stage the snapshot's seed_stats stand for.
+  if (!seeded.order_root_first.empty()) {
+    if (resume != nullptr) {
+      core::ChainScratch seed_scratch;
+      seeded.upper_bound = core::diagram_size_from_base(
+          oracle.base(), seeded.order_root_first, options.kind,
+          seed_scratch);
+    }
+    if (seeded.upper_bound < v.internal_nodes) {
+      v.order_root_first = seeded.order_root_first;
+      v.internal_nodes = seeded.upper_bound;
+    }
   }
 
   // Stage 3: sifting from the salvaged order, on the remaining budget.

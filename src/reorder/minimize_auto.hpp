@@ -106,7 +106,7 @@ struct PruneSeedResult {
 /// Runs the cheap strategy named `seed` through `oracle` and returns the
 /// best order it found plus its exact size.  Recognized names: "sift"
 /// (default everywhere), "window", "restarts", "anneal", and "none"
-/// (skip seeding; the DP self-seeds from one ascending chain).  The
+/// (skip seeding; the DP seeds itself from its DP-greedy bound).  The
 /// evaluations go through the shared memoized oracle, so a later
 /// heuristic stage revisiting an order pays a lookup, not a chain.
 PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,

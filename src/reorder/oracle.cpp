@@ -20,6 +20,9 @@ int bits_for(int n) {
   return bits;
 }
 
+/// Largest n whose orders all have a key: n! - 1 < 2^96 up to n = 27.
+constexpr int kMaxKeyedVars = 27;
+
 /// Bottom compactions two root-first orders' chains have in common: the
 /// length of the orders' common suffix.
 int shared_depth(const std::vector<int>& a, const std::vector<int>& b) {
@@ -34,23 +37,33 @@ CostOracle::CostOracle(const tt::TruthTable& f, core::DiagramKind kind)
     : kind_(kind), base_(core::initial_table(f)) {
   OVO_CHECK_MSG(kind != core::DiagramKind::kMtbdd,
                 "CostOracle: use the value-table constructor for MTBDDs");
-  const int bits = bits_for(base_.n);
-  if (base_.n * bits <= 96) bits_per_var_ = bits;
 }
 
 CostOracle::CostOracle(const std::vector<std::int64_t>& values, int n)
     : kind_(core::DiagramKind::kMtbdd),
-      base_(core::initial_table_values(values, n)) {
-  const int bits = bits_for(base_.n);
-  if (base_.n * bits <= 96) bits_per_var_ = bits;
-}
+      base_(core::initial_table_values(values, n)) {}
+
+bool CostOracle::memo_enabled() const { return base_.n <= kMaxKeyedVars; }
 
 bool CostOracle::pack_key(const std::vector<int>& order, std::uint64_t* a,
                           std::uint32_t* b) const {
-  if (bits_per_var_ == 0) return false;
+  if (!memo_enabled()) return false;
+  const int n = static_cast<int>(order.size());
+  const int bits = bits_for(n);
   unsigned __int128 acc = 0;
-  for (const int v : order)
-    acc = (acc << bits_per_var_) | static_cast<unsigned>(v);
+  if (n * bits <= 96) {
+    for (const int v : order) acc = (acc << bits) | static_cast<unsigned>(v);
+  } else {
+    // The order's rank in the factorial number system: digit i counts
+    // the variables not yet placed that are smaller than order[i].
+    util::Mask placed = 0;
+    for (int i = 0; i < n; ++i) {
+      const util::Mask below = (util::Mask{1} << order[i]) - 1;
+      acc = acc * static_cast<unsigned>(n - i) +
+            static_cast<unsigned>(util::popcount(below & ~placed));
+      placed |= util::Mask{1} << order[i];
+    }
+  }
   *a = static_cast<std::uint64_t>(acc);
   *b = static_cast<std::uint32_t>(acc >> 64);
   return true;

@@ -73,7 +73,8 @@ struct Budget {
   /// Peak resident bytes (approximated as cells * sizeof(cell)).
   std::uint64_t bytes_limit = 0;
   /// Checkpoints between wall-clock reads in poll()/charge(); the
-  /// serial admit_work()/admit_charge_batch() read the clock every call.
+  /// serial admit_work()/admit_charge_batch() and poll_clock() read the
+  /// clock every call.
   std::uint64_t check_interval = 1024;
   /// Optional external cancellation; not owned.
   CancelToken* cancel = nullptr;
@@ -180,6 +181,13 @@ class Governor {
   /// fault plan, and (every check_interval calls) the wall clock.
   /// Returns true iff hard-stopped.  Safe to call from parallel bodies.
   bool poll();
+
+  /// poll() that always reads the wall clock.  For checkpoints that each
+  /// stand for thousands of cells of work (one FS* DP state, one greedy
+  /// completion step): a clock read costs about 25 ns there, while
+  /// sampling it every check_interval calls would let a deadline pass by
+  /// check_interval such steps.  Safe to call from parallel bodies.
+  bool poll_clock();
 
   /// Credits work a *previous* run already performed (a resumed
   /// checkpoint's ledger) without running a checkpoint, so every

@@ -60,6 +60,8 @@ bool Governor::over_deadline() {
 
 bool Governor::poll() { return checkpoint(/*read_clock=*/false); }
 
+bool Governor::poll_clock() { return checkpoint(/*read_clock=*/true); }
+
 bool Governor::checkpoint(bool read_clock) {
   const std::uint64_t cp =
       checkpoints_.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -6,7 +6,8 @@
 //     and MTBDD kinds;
 //   * the returned order achieves the minimum when the diagram is rebuilt
 //     with the corresponding manager;
-//   * Fig. 1's exact sizes (2m+2 vs 2^{m+1}).
+//   * Fig. 1's exact sizes (2m+2 vs 2^{m+1});
+//   * the greedy completion rule and the DP-greedy pruning incumbent.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "core/minimize.hpp"
 #include "mtbdd/manager.hpp"
 #include "reorder/baselines.hpp"
+#include "rt/budget.hpp"
 #include "tt/function_zoo.hpp"
 #include "util/combinatorics.hpp"
 #include "util/rng.hpp"
@@ -632,6 +634,119 @@ TEST(FsMisc, ZddOfSparseBeatsItsBdd) {
   const MinimizeResult z = fs_minimize(t, DiagramKind::kZdd);
   const MinimizeResult b = fs_minimize(t, DiagramKind::kBdd);
   EXPECT_LE(z.min_internal_nodes, b.min_internal_nodes);
+}
+
+// --- greedy completion ------------------------------------------------------
+
+// The one greedy rule, checked against a reference built on allocating
+// compact(): each step places the block variable whose compaction adds
+// the fewest nodes (ties to the lower index), variables outside the block
+// stay free, and the final table is the chain along the returned order.
+TEST(GreedyComplete, FollowsTheWidthRuleWithinTheBlock) {
+  util::Xoshiro256 rng(0x96ee);
+  for (const DiagramKind kind : {DiagramKind::kBdd, DiagramKind::kZdd}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const tt::TruthTable f = tt::random_function(8, rng);
+      const PrefixTable start = compact(initial_table(f), trial, kind);
+      const util::Mask block = 0b11011010 & ~start.vars;
+      PrefixTable t = start;
+      ChainScratch scratch;
+      std::vector<int> order;
+      OpCounter ops;
+      ASSERT_TRUE(greedy_complete(t, block, kind, scratch, &order, &ops));
+
+      PrefixTable ref = start;
+      std::vector<int> ref_order;
+      while ((ref.free_mask() & block) != 0) {
+        PrefixTable best;
+        int best_var = -1;
+        util::for_each_bit(ref.free_mask() & block, [&](int v) {
+          PrefixTable c = compact(ref, v, kind);
+          if (best_var < 0 || c.mincost() < best.mincost()) {
+            best = std::move(c);
+            best_var = v;
+          }
+        });
+        ref = std::move(best);
+        ref_order.push_back(best_var);
+      }
+      EXPECT_EQ(order, ref_order);
+      EXPECT_EQ(t.vars, start.vars | block);
+      EXPECT_EQ(t.cells, ref.cells);
+      EXPECT_EQ(t.mincost(), ref.mincost());
+      // Every candidate is one COMPACT, finished or cut short.
+      std::uint64_t calls = 0;
+      for (int k = util::popcount(block); k > 0; --k)
+        calls += static_cast<std::uint64_t>(k);
+      EXPECT_EQ(ops.compactions, calls);
+    }
+  }
+}
+
+TEST(GreedyComplete, StoppedGovernorLeavesTheTableOnItsChain) {
+  const tt::TruthTable f = tt::hidden_weighted_bit(8);
+  rt::CancelToken token;
+  token.cancel();
+  rt::Budget b;
+  b.cancel = &token;
+  rt::Governor gov(b);
+  PrefixTable t = initial_table(f);
+  ChainScratch scratch;
+  std::vector<int> order;
+  EXPECT_FALSE(greedy_complete(t, t.free_mask(), DiagramKind::kBdd, scratch,
+                               &order, nullptr, &gov));
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(t.cells, initial_table(f).cells);
+}
+
+// --- DP-greedy incumbent ----------------------------------------------------
+
+// A pruned fs_star run with no caller bound self-seeds from the DP-greedy
+// step: the incumbent is a real completion (>= the optimum), the run is
+// bit-identical to dense, and a caller bound below it is kept.
+TEST(DpGreedyIncumbent, SelfSeedIsARealCompletionAndCallerBoundsWin) {
+  util::Xoshiro256 rng(0x1c0b);
+  for (int trial = 0; trial < 3; ++trial) {
+    const tt::TruthTable f = tt::random_function(9, rng);
+    const util::Mask all = util::full_mask(9);
+    const MinimizeResult dense = fs_minimize(f);
+    par::ExecPolicy pruned;
+    pruned.prune = par::PruneMode::kBounds;
+    const FsStarResult self =
+        fs_star(initial_table(f), all, 9, DiagramKind::kBdd, nullptr, pruned);
+    EXPECT_GE(self.prune.upper_bound, dense.min_internal_nodes);
+    EXPECT_EQ(self.tables.at(all).mincost(), dense.min_internal_nodes);
+    EXPECT_EQ(reconstruct_block_order(self, all),
+              std::vector<int>(dense.order_root_first.rbegin(),
+                               dense.order_root_first.rend()));
+    const FsStarResult tight =
+        fs_star(initial_table(f), all, 9, DiagramKind::kBdd, nullptr, pruned,
+                nullptr, dense.min_internal_nodes);
+    EXPECT_EQ(tight.prune.upper_bound, dense.min_internal_nodes);
+  }
+}
+
+// On a block J over a prefix I the step completes within J only, and its
+// bound counts the base's nodes (chain totals).
+TEST(DpGreedyIncumbent, BlockRunsBoundTheBlockChain) {
+  util::Xoshiro256 rng(0xb10c);
+  const tt::TruthTable f = tt::random_function(9, rng);
+  const PrefixTable base =
+      compact(compact(initial_table(f), 4, DiagramKind::kBdd), 7,
+              DiagramKind::kBdd);
+  const util::Mask J = 0b001101011;  // leaves variables 2 and 8 free
+  const int k = util::popcount(J);
+  const FsStarResult dense =
+      fs_star(base, J, k, DiagramKind::kBdd, nullptr, par::ExecPolicy{});
+  par::ExecPolicy pruned;
+  pruned.prune = par::PruneMode::kBounds;
+  pruned.num_threads = 2;
+  const FsStarResult r =
+      fs_star(base, J, k, DiagramKind::kBdd, nullptr, pruned);
+  EXPECT_EQ(r.tables.at(J).mincost(), dense.tables.at(J).mincost());
+  EXPECT_EQ(reconstruct_block_order(r, J), reconstruct_block_order(dense, J));
+  EXPECT_GE(r.prune.upper_bound, dense.tables.at(J).mincost());
+  EXPECT_GT(r.prune.upper_bound, base.mincost());
 }
 
 }  // namespace

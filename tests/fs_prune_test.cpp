@@ -2,9 +2,11 @@
 // bit-identity with the dense engines over exhaustive small-n sweeps and
 // randomized larger functions at every thread count and both pipeline
 // settings, ledger consistency, the certified lower bound, the small-n
-// serial fallback, governed engine routing, and fault injection
-// (cancellation and allocation failure) on the sparse path.  Run under
-// the asan/tsan presets by tools/ci.sh.
+// serial fallback, governed engine routing, fault injection
+// (cancellation and allocation failure) on the sparse path, and the
+// DP-greedy incumbent (bit-identity, its bound, a pinned case where it
+// beats sift, and resume).  Run under the asan/tsan presets by
+// tools/ci.sh.
 
 #include <gtest/gtest.h>
 
@@ -443,6 +445,14 @@ void expect_pin(const PrunedRunPin& want, const PrunedRunPin& got) {
   EXPECT_EQ(got.peak_cells, want.peak_cells);
 }
 
+/// The DP-greedy incumbent step's own counted work at n = 12: layer 1
+/// (12 compactions of 4096 cells) plus 8 greedy completions from it, one
+/// compaction per candidate (66 per completion).  Sift is already optimal
+/// on both inputs below, so the step moves no prune decision and the
+/// DP's own counts stay the unbounded sweep's.
+constexpr std::uint64_t kGreedyStepCells12 = 376848;
+constexpr std::uint64_t kGreedyStepCompactions12 = 540;
+
 TEST(FsPrunePins, SiftSeededRunsKeepTheUnboundedLedger) {
   const struct {
     const char* name;
@@ -451,10 +461,12 @@ TEST(FsPrunePins, SiftSeededRunsKeepTheUnboundedLedger) {
   } cases[] = {
       {"hwb12", tt::hidden_weighted_bit(12),
        {{137, 1759, 1144, 2336, 615, 527345, 265051},
-        137, 2477846, 5061, 180224}},
+        137, 2477846 + kGreedyStepCells12, 5061 + kGreedyStepCompactions12,
+        180224}},
       {"adder12", tt::adder_carry(12),
        {{17, 2435, 1588, 1660, 847, 527345, 275489},
-        17, 2538376, 6220, 180224}},
+        17, 2538376 + kGreedyStepCells12, 6220 + kGreedyStepCompactions12,
+        180224}},
   };
   for (const auto& c : cases) {
     for (const int threads : {1, 4}) {
@@ -480,6 +492,288 @@ TEST(FsPrunePins, DenseRunKeepsTheTheorem5Counts) {
       EXPECT_EQ(m.ops.peak_cells, 239360u);
     }
   }
+}
+
+// ----------------------------------------------------- DP-greedy incumbent --
+
+/// multiplier_middle_bit(12) with its inputs relabelled so that sift from
+/// the identity order stops at 194 nodes while the DP-greedy step finds
+/// 138 (the optimum is 134).
+tt::TruthTable relabelled_multiplier12() {
+  return tt::multiplier_middle_bit(12).permute_inputs(
+      {2, 10, 4, 1, 5, 0, 6, 7, 9, 11, 3, 8});
+}
+
+/// Self-seeded (DP-greedy) pruned runs return the dense order, size and
+/// tie-breaks, and prune against a real completion, on both pruned
+/// engines at every thread count.
+TEST(FsPruneIncumbent, SelfSeededRunsMatchDense) {
+  util::Xoshiro256 rng(0x9eed);
+  const struct {
+    const char* name;
+    tt::TruthTable f;
+  } cases[] = {
+      {"random10", tt::random_function(10, rng)},
+      {"random12", tt::random_function(12, rng)},
+      {"hwb12", tt::hidden_weighted_bit(12)},
+      {"adder12", tt::adder_carry(12)},
+      {"mult12", relabelled_multiplier12()},
+  };
+  for (const auto& c : cases) {
+    for (const core::DiagramKind kind :
+         {core::DiagramKind::kBdd, core::DiagramKind::kZdd}) {
+      const core::MinimizeResult dense = core::fs_minimize(c.f, kind);
+      for (const int threads : {1, 2, 4}) {
+        for (const bool pipeline : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << c.name << " zdd=" << (kind == core::DiagramKind::kZdd)
+                       << " threads=" << threads << " pipeline=" << pipeline);
+          const core::MinimizeResult pruned = core::fs_minimize(
+              c.f, kind, policy(threads, pipeline, par::PruneMode::kBounds));
+          EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
+          EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
+          EXPECT_GE(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
+          expect_consistent_ledger(pruned.ops.prune);
+        }
+      }
+    }
+  }
+}
+
+TEST(FsPruneIncumbent, MtbddSelfSeededRunsMatchDense) {
+  util::Xoshiro256 rng(0x3717);
+  for (const int n : {8, 11}) {
+    std::vector<std::int64_t> values(std::size_t{1} << n);
+    for (auto& v : values) v = static_cast<std::int64_t>(rng.below(4));
+    const core::MinimizeResult dense = core::fs_minimize_mtbdd(values, n);
+    for (const int threads : {1, 2, 4}) {
+      for (const bool pipeline : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads
+                                        << " pipeline=" << pipeline);
+        const core::MinimizeResult pruned = core::fs_minimize_mtbdd(
+            values, n, policy(threads, pipeline, par::PruneMode::kBounds));
+        EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
+        EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
+        EXPECT_GE(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
+      }
+    }
+  }
+}
+
+/// The effective incumbent is min(caller's bound, DP-greedy): never below
+/// the optimum, never above the caller's bound, and the same at every
+/// thread count.
+TEST(FsPruneIncumbent, EffectiveBoundLiesBetweenOptimumAndCallerBound) {
+  util::Xoshiro256 rng(0xb0b0);
+  const tt::TruthTable funcs[] = {tt::random_function(9, rng),
+                                  tt::hidden_weighted_bit(10),
+                                  relabelled_multiplier12()};
+  for (const tt::TruthTable& f : funcs) {
+    const int n = f.num_vars();
+    const std::uint64_t opt = core::fs_minimize(f).min_internal_nodes;
+    const std::uint64_t self_seeded =
+        core::fs_minimize(f, core::DiagramKind::kBdd,
+                          policy(1, true, par::PruneMode::kBounds))
+            .ops.prune.upper_bound;
+    EXPECT_GE(self_seeded, opt);
+    for (const std::uint64_t caller :
+         {opt, opt + 1, self_seeded, self_seeded + 7, 4 * opt}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " caller=" << caller
+                                        << " threads=" << threads);
+        const core::FsStarResult r = core::fs_star(
+            core::initial_table(f), util::full_mask(n), n,
+            core::DiagramKind::kBdd, nullptr,
+            policy(threads, true, par::PruneMode::kBounds), nullptr, caller);
+        EXPECT_EQ(r.prune.upper_bound, std::min(caller, self_seeded));
+        EXPECT_GE(r.prune.upper_bound, opt);
+        EXPECT_LE(r.prune.upper_bound, caller);
+      }
+    }
+  }
+}
+
+/// The sift-seeded pruned run of the relabelled multiplier, where the
+/// DP-greedy step lowers the incumbent from sift's 194 to 138.
+PrunedRunPin multiplier_pin_run(int threads, bool pipeline,
+                                const core::FsCheckpointOptions* ckpt,
+                                std::uint64_t* sift_bound) {
+  const tt::TruthTable f = relabelled_multiplier12();
+  reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
+  const reorder::PruneSeedResult seeded = reorder::seed_prune_bound(
+      oracle, "sift", 8, 16, 42, reorder::EvalContext{});
+  if (sift_bound != nullptr) *sift_bound = seeded.upper_bound;
+  core::OpCounter ops;
+  const core::FsStarResult r = core::fs_star(
+      core::initial_table(f), util::full_mask(12), 12,
+      core::DiagramKind::kBdd, &ops,
+      policy(threads, pipeline, par::PruneMode::kBounds), nullptr,
+      seeded.upper_bound, ckpt);
+  EXPECT_EQ(r.tables.at(util::full_mask(12)).mincost(), 134u);
+  return {r.prune, r.certified_lower_bound, ops.table_cells, ops.compactions,
+          ops.peak_cells};
+}
+
+/// Computed once, with the DP-greedy step counted in its named terms.
+const PrunedRunPin kMultiplierPin = {
+    {138, 1201, 791, 2894, 410, 527345, 179493},
+    134,
+    1747688 + kGreedyStepCells12,
+    3040 + kGreedyStepCompactions12,
+    129024};
+
+TEST(FsPruneIncumbent, DpGreedyBeatsSiftOnRelabelledMultiplier) {
+  for (const int threads : {1, 2, 4}) {
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " pipeline=" << pipeline);
+      std::uint64_t sift_bound = 0;
+      expect_pin(kMultiplierPin,
+                 multiplier_pin_run(threads, pipeline, nullptr, &sift_bound));
+      EXPECT_EQ(sift_bound, 194u);
+    }
+  }
+}
+
+/// A snapshot of that run records the effective incumbent, and resuming
+/// from it (which skips the DP-greedy step) replays the run bit for bit.
+TEST(FsPruneIncumbent, ResumeReplaysTheEffectiveIncumbent) {
+  std::vector<std::vector<std::uint8_t>> fences;
+  core::FsCheckpointOptions write;
+  write.every = 1;
+  write.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+    fences.push_back(p);
+  };
+  expect_pin(kMultiplierPin, multiplier_pin_run(1, false, &write, nullptr));
+  ASSERT_GE(fences.size(), 6u);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{5}}) {
+    const core::FsStarSnapshot snap =
+        core::decode_snapshot(fences[at].data(), fences[at].size());
+    EXPECT_EQ(snap.prune_upper_bound, kMultiplierPin.prune.upper_bound);
+    core::FsCheckpointOptions resume;
+    resume.resume = &snap;
+    for (const int threads : {1, 2, 4}) {
+      for (const bool pipeline : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "layer=" << snap.layer
+                                        << " threads=" << threads
+                                        << " pipeline=" << pipeline);
+        expect_pin(kMultiplierPin,
+                   multiplier_pin_run(threads, pipeline, &resume, nullptr));
+      }
+    }
+  }
+}
+
+/// A pruned run of the relabelled multiplier against `caller`, stopped by
+/// a cancel at governor checkpoint `cancel_at` (0: never).  Only the
+/// ledger is read: a stopped run has no final table.
+PrunedRunPin multiplier_run(std::uint64_t caller, int threads, bool pipeline,
+                            const core::FsCheckpointOptions* ckpt,
+                            std::uint64_t cancel_at) {
+  const tt::TruthTable f = relabelled_multiplier12();
+  rt::CancelToken token;
+  rt::Budget budget;
+  budget.cancel = &token;
+  rt::Governor gov(budget);
+  rt::FaultPlan plan;
+  plan.cancel_at_checkpoint = cancel_at;
+  plan.cancel = &token;
+  rt::ScopedFaultPlan scoped(plan);
+  core::OpCounter ops;
+  const core::FsStarResult r = core::fs_star(
+      core::initial_table(f), util::full_mask(12), 12,
+      core::DiagramKind::kBdd, &ops,
+      policy(threads, pipeline, par::PruneMode::kBounds), &gov, caller, ckpt);
+  return {r.prune, r.certified_lower_bound, ops.table_cells, ops.compactions,
+          ops.peak_cells};
+}
+
+/// A run cancelled inside the DP-greedy step trips before layer 1 and
+/// writes a layer-0 snapshot holding whatever bound it had: the caller's,
+/// a partial minimum, or none.  Resuming it runs the step again, so the
+/// resumed run prunes against, ledgers and counts exactly what the
+/// uninterrupted run does.  The step polls 12 times for layer 1, then 11
+/// times per completion.
+TEST(FsPruneIncumbent, ResumeFromAStoppedStepReplaysTheUninterruptedRun) {
+  for (const std::uint64_t caller : {std::uint64_t{0}, std::uint64_t{194}}) {
+    const PrunedRunPin want = multiplier_run(caller, 1, false, nullptr, 0);
+    EXPECT_EQ(want.prune.upper_bound, 138u);
+    for (const std::uint64_t cancel_at : {1, 12, 13, 40, 100}) {
+      std::vector<std::uint8_t> last;
+      core::FsCheckpointOptions write;
+      write.on_bytes = [&](const std::vector<std::uint8_t>& p) { last = p; };
+      const PrunedRunPin tripped =
+          multiplier_run(caller, 1, false, &write, cancel_at);
+      SCOPED_TRACE(testing::Message()
+                   << "caller=" << caller << " cancel_at=" << cancel_at);
+      ASSERT_FALSE(last.empty());
+      const core::FsStarSnapshot snap =
+          core::decode_snapshot(last.data(), last.size());
+      EXPECT_EQ(snap.layer, 0);
+      EXPECT_EQ(snap.prune_upper_bound, tripped.prune.upper_bound);
+      EXPECT_GE(snap.prune_upper_bound, 138u);
+      if (cancel_at <= 13) {
+        EXPECT_EQ(snap.prune_upper_bound,
+                  caller != 0 ? caller : core::kNoCostLimit);
+      }
+      core::FsCheckpointOptions resume;
+      resume.resume = &snap;
+      for (const int threads : {1, 4}) {
+        for (const bool pipeline : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                          << " pipeline=" << pipeline);
+          expect_pin(want,
+                     multiplier_run(caller, threads, pipeline, &resume, 0));
+        }
+      }
+    }
+  }
+}
+
+/// A resumed ladder run that trips again salvages against the seed
+/// order's real size, not the snapshot's incumbent: here the effective
+/// incumbent is DP-greedy's 138 while sift's seed order has 194 nodes.
+/// Both the tripped and the resumed run report the size of the order
+/// they return.  Every limit trips the DP before layer 5.
+TEST(FsPruneIncumbent, ResumedLadderReportsTheSizeOfItsOrder) {
+  const tt::TruthTable f = relabelled_multiplier12();
+  reorder::AutoMinimizeOptions opt;
+  opt.exec = policy(1, false, par::PruneMode::kBounds);
+  opt.restarts = 0;
+  int above_incumbent = 0;
+  for (const std::uint64_t work_limit :
+       {2000000, 2500000, 3000000, 3500000, 4000000}) {
+    SCOPED_TRACE(testing::Message() << "work_limit=" << work_limit);
+    rt::Budget budget;
+    budget.work_limit = work_limit;
+    std::vector<std::uint8_t> last;
+    reorder::AutoMinimizeOptions wopt = opt;
+    wopt.ckpt.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+      last = p;
+    };
+    const rt::Result<reorder::AutoMinimizeResult> tripped =
+        reorder::minimize_auto(f, budget, wopt);
+    ASSERT_FALSE(tripped.value.optimal);
+    ASSERT_FALSE(last.empty());
+    const core::FsStarSnapshot snap =
+        core::decode_snapshot(last.data(), last.size());
+    EXPECT_EQ(snap.prune_upper_bound, 138u);
+    reorder::AutoMinimizeOptions ropt = opt;
+    ropt.ckpt.resume = &snap;
+    const rt::Result<reorder::AutoMinimizeResult> resumed =
+        reorder::minimize_auto(f, budget, ropt);
+    for (const auto* r : {&tripped.value, &resumed.value}) {
+      EXPECT_EQ(r->internal_nodes,
+                core::diagram_size_for_order(f, r->order_root_first));
+    }
+    EXPECT_EQ(resumed.value.order_root_first, tripped.value.order_root_first);
+    EXPECT_EQ(resumed.value.internal_nodes, tripped.value.internal_nodes);
+    if (resumed.value.internal_nodes > snap.prune_upper_bound)
+      ++above_incumbent;
+  }
+  // At least one limit salvages above the incumbent, where reporting the
+  // incumbent for the seed order would have been wrong.
+  EXPECT_GE(above_incumbent, 1);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "bdd/dynamic_reorder.hpp"
 #include "bdd/manager.hpp"
+#include "core/fs_star.hpp"
 #include "core/minimize.hpp"
 #include "quantum/min_find.hpp"
 #include "quantum/opt_obdd.hpp"
@@ -643,6 +644,97 @@ TEST(GovernedSift, OneMillisecondDeadlineStops) {
   const OrderSearchResult r = sift(oracle, identity(16), 8, ctx);
   EXPECT_EQ(gov.outcome(), rt::Outcome::kDeadline);
   EXPECT_FALSE(r.order_root_first.empty());
+}
+
+// At n = 20 a packed order no longer fits the memo's 96-bit key, so
+// orders are keyed by their rank: sift's batches hit the order they
+// start from.  Before, every query at n >= 20 evaluated (0 hits).
+TEST(SeedPins, MemoKeysTwentyVariableOrders) {
+  util::Xoshiro256 rng(20);
+  const tt::TruthTable f = tt::random_function(20, rng);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    CostOracle oracle(f, core::DiagramKind::kBdd);
+    EXPECT_TRUE(oracle.memo_enabled());
+    rt::Governor gov(
+        rt::Budget::with_work_limit(43 * oracle.chain_eval_cost()));
+    EvalContext ctx;
+    ctx.exec.num_threads = threads;
+    ctx.gov = &gov;
+    const OrderSearchResult r = sift(oracle, identity(20), 8, ctx);
+    EXPECT_EQ(gov.outcome(), rt::Outcome::kDeadline);
+    EXPECT_EQ(r.orders_evaluated, 43u);
+    EXPECT_EQ(oracle.stats().queries, 43u);
+    EXPECT_EQ(oracle.stats().evals, 39u);
+    EXPECT_EQ(oracle.stats().memo_hits, 4u);
+  }
+}
+
+// The FS* engines read the clock at every DP state, so a deadline that
+// falls inside a long layer stops the run within a few states' time.
+// Sampling the clock every check_interval (1024) polls let it run on
+// for hundreds of states, until the next layer's admission.
+TEST(GovernedDp, DeadlineInsideALayerStopsWithinAFewStates) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+  util::Xoshiro256 rng(0xdead);
+  const int n = 16;
+  const tt::TruthTable f = tt::random_function(n, rng);
+  const core::PrefixTable base = core::initial_table(f);
+  // One layer-1 state: a compaction of the whole base, the largest table
+  // any DP state reads.  Later states read fewer cells.
+  std::vector<double> samples;
+  core::PrefixTable out;
+  ds::UniqueTable dedup;
+  for (int v = 0; v < 5; ++v) {
+    const Clock::time_point t0 = Clock::now();
+    core::compact_into(out, base, v, core::DiagramKind::kBdd, nullptr,
+                       nullptr, &dedup);
+    samples.push_back(ms_since(t0));
+  }
+  std::sort(samples.begin(), samples.end());
+  const double state_ms = samples[samples.size() / 2];
+  // Serial, with n = 16: layers 1-2 of the dense DP take about 136
+  // layer-1 states' time and layer 3 (560 states, under 1024, so sampled
+  // polling read no clock inside it) about 240 more.  1 ms: inside layer
+  // 1 of the dense DP and inside the DP-greedy step (about 136 state
+  // times) of the pruned one.  150 states in: early in layer 3 of the
+  // dense DP, where sampled polling ran on for 140 to 220 state times
+  // (49 to 77 ms on a 4-vCPU Xeon), and past the DP-greedy step in the
+  // pruned one.
+  const std::uint64_t deadlines[] = {
+      1,
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(150 * state_ms))};
+  for (const std::uint64_t deadline_ms : deadlines) {
+    rt::Budget budget;
+    budget.deadline_ms = deadline_ms;
+    ASSERT_EQ(budget.check_interval, 1024u);
+    for (const par::PruneMode prune :
+         {par::PruneMode::kOff, par::PruneMode::kBounds}) {
+      SCOPED_TRACE(testing::Message()
+                   << "pruned=" << (prune == par::PruneMode::kBounds)
+                   << " state_ms=" << state_ms
+                   << " deadline_ms=" << deadline_ms);
+      par::ExecPolicy exec;
+      exec.num_threads = 1;
+      exec.prune = prune;
+      const Clock::time_point t0 = Clock::now();
+      rt::Governor gov(budget);
+      const core::FsStarResult r = core::fs_star(
+          base, util::full_mask(n), n, core::DiagramKind::kBdd, nullptr, exec,
+          &gov);
+      const double elapsed_ms = ms_since(t0);
+      EXPECT_EQ(gov.outcome(), rt::Outcome::kDeadline);
+      EXPECT_LT(r.completed_layers, n);
+      // Slack for preemption on a loaded machine: 32 state times and
+      // 10 ms (about 21 ms), still under the overshoot of sampled polling.
+      EXPECT_LT(elapsed_ms,
+                static_cast<double>(deadline_ms) + 32 * state_ms + 10.0);
+    }
+  }
 }
 
 }  // namespace

@@ -102,16 +102,23 @@ if [[ "${QUICK}" -eq 1 ]]; then
   grep -q '"prune_ratio"' "${smoke_dir}/fs.json"
   echo "==== quick: bound-pruned bit-identity guard ================"
   # `--prune bounds` must return the identical order and size as the
-  # dense default (`--prune off`); only the work ledger may differ.
+  # dense default (`--prune off`); only the work ledger may differ.  That
+  # holds for the sift seed and for no seed (the DP's own greedy bound
+  # alone), serial and on 2 threads.
   smoke_fn="x1 & x2 | x3 & x4 | x5 & x6 | x7 & x8"
   result_fields() {
     grep -o '"nodes":[0-9]*\|"optimal":[a-z]*\|"order":\[[0-9,]*\]'
   }
   build/tools/ovo order --strategy fs --prune off --json "${smoke_fn}" \
     | result_fields > "${smoke_dir}/dense.txt"
-  build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
-    | result_fields > "${smoke_dir}/pruned.txt"
-  diff "${smoke_dir}/dense.txt" "${smoke_dir}/pruned.txt"
+  for seed in sift none; do
+    for threads in 1 2; do
+      build/tools/ovo order --strategy fs --prune bounds \
+        --prune-seed "${seed}" --threads "${threads}" --json "${smoke_fn}" \
+        | result_fields > "${smoke_dir}/pruned.txt"
+      diff "${smoke_dir}/dense.txt" "${smoke_dir}/pruned.txt"
+    done
+  done
   # ...and the pruned CLI run must surface its ledger.
   build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
     | grep -q '"states_pruned"'
