@@ -32,7 +32,7 @@
 #include "core/minimize.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/exec_policy.hpp"
-#include "parallel/task_graph.hpp"
+#include "parallel/thread_pool.hpp"
 #include "quantum/analysis.hpp"
 #include "quantum/opt_obdd.hpp"
 #include "quantum/params.hpp"
@@ -239,10 +239,8 @@ int main(int argc, char** argv) {
       obs::append_metrics_json(
           row, l,
           {obs::Metric::kOracleQueries, obs::Metric::kOracleEvals,
-           obs::Metric::kOracleMemoHits, obs::Metric::kSchedTasks,
-           obs::Metric::kSchedChunks, obs::Metric::kSchedReadyHwm,
-           obs::Metric::kSchedOverlapTasks, obs::Metric::kSchedOverlapNs,
-           obs::Metric::kSchedBarrierWaitNs});
+           obs::Metric::kOracleMemoHits, obs::Metric::kSchedGraphs,
+           obs::Metric::kSchedChunks, obs::Metric::kSchedBarrierWaitNs});
       obs::append_run_info_json(row, resolved_threads);
       std::fprintf(out, "%s}%s\n", row.c_str(),
                    i + 1 < sim_ns.size() ? "," : "");

@@ -70,7 +70,7 @@ SiftResult sift_in_place(Manager& m, const std::vector<NodeId>& roots,
 std::uint64_t shared_reachable_size(const Manager& m,
                                     const std::vector<NodeId>& roots);
 
-/// As above, fanned out on the task-graph scheduler as a frontier BFS
+/// As above, fanned out over ovo::par parallel regions as a frontier BFS
 /// (one region per level) with atomic node claiming when `exec` asks
 /// for threads and the arena is large enough to amortize dispatch; the
 /// count is the size of a fixed set, so it is identical at every

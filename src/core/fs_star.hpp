@@ -15,22 +15,14 @@
 // layer-(k+1) subset depends on exactly its k+1 one-element-removed
 // predecessors in layer k.
 //
-// Two engines share one per-subset kernel:
-//  * Barrier engine (serial, or ExecPolicy{.pipeline = false}): one
-//    parallel_for per layer with an implicit barrier and a serial
-//    publish epilogue — the PR 2 structure, kept as the bit-identity
-//    reference and the serial path.
-//  * Pipelined engine (pipeline = true and threads > 1): the whole
-//    admitted DP is one ovo::par::TaskGraph.  Subset groups become nodes
-//    whose dependency counters track incomplete predecessor groups, so
-//    layer k+1 compactions start while layer k is still draining; a
-//    seq_epoch fence per layer publishes results in rank order.  Every
-//    subset writes to its own colex-rank slot, so orders, sizes,
-//    tie-breaks, and merged OpCounter totals are bit-identical across
-//    engines and thread counts (governor admits are decided serially up
-//    front, preserving deterministic budget trips; see fs_star.cpp).
-// The default policy is serial and bit-identical to the original
-// single-threaded implementation.
+// One layer loop runs the DP: per layer, one parallel_for over the
+// layer's states with a serial publish epilogue after it (see
+// ovo::par::ThreadPool).  Every state writes to its own slot, so orders,
+// sizes, tie-breaks, and merged OpCounter totals are bit-identical at
+// every thread count; governor admission is decided serially before
+// each layer, preserving deterministic budget trips.  The default policy
+// is serial and bit-identical to the original single-threaded
+// implementation.
 //
 // Bound-pruned mode (ExecPolicy.prune = PruneMode::kBounds): full-block
 // runs (stop_k == |J|) additionally compute an admissible per-state
@@ -43,14 +35,13 @@
 // the cheapest completion is the DP-greedy bound.  Callers pass their
 // bound from a cheap heuristic, or 0 for none.  Layers are stored
 // sparsely: only surviving states hold cells, so pruned states cost zero
-// bytes.  Because the
-// incumbent is fixed before the DP starts and every state's bound is
-// local, the surviving set — and therefore the optimal order, size, and
-// every tie-break — is bit-identical to the dense engines at every
-// thread count (see docs/INTERNALS.md for the admissibility and
+// bytes.  Because the incumbent is fixed before the DP starts and every
+// state's bound is local, the surviving set — and therefore the optimal
+// order, size, and every tie-break — is bit-identical to the dense DP at
+// every thread count (see docs/INTERNALS.md for the admissibility and
 // determinism arguments).  Stop-early runs (stop_k < |J|) ignore the
 // prune flag: their contract is one table per subset at the stop layer.
-// The default mode is kOff: dense engines, untouched.
+// The default mode is kOff: every state of every layer is built.
 
 #include <unordered_map>
 #include <vector>
@@ -83,7 +74,7 @@ struct FsStarResult {
 
   /// Bound-pruned runs only (all-zero otherwise).  In pruned mode,
   /// `tables`/`best_last`/`mincost` hold the *surviving* states of each
-  /// layer; every chain the dense engine would reconstruct survives, so
+  /// layer; every chain the dense DP would reconstruct survives, so
   /// reconstruct_block_order works unchanged.
   PruneStats prune;
 
@@ -108,13 +99,16 @@ struct FsStarResult {
 /// polled per subset, discarding any partially built layer.  In pruned
 /// mode the admission estimate uses the *running sparse counts* (actual
 /// surviving predecessors and candidate states) instead of the dense
-/// closed form; sparse counts are only known layer by layer, so a pruned
-/// run with deterministic limits always takes the serially-admitting
-/// barrier engine, regardless of `exec.pipeline`.  On a trip the result
-/// holds every layer up to `completed_layers` and remains fully
-/// consistent (valid tables, back-pointers, and mincosts for all
-/// published subsets) and — in pruned mode — still carries a consistent
-/// prune ledger and a certified lower bound.
+/// closed form (the two agree when every predecessor is present).  On a
+/// trip the result holds every layer up to `completed_layers` and remains
+/// fully consistent (valid tables, back-pointers, and mincosts for all
+/// published subsets; `*ops` counts exactly those layers, never the
+/// discarded partial one) and — in pruned mode — still carries a
+/// consistent prune ledger and a certified lower bound.
+///
+/// Traced runs emit one `fs.layer` span per admitted layer (args `layer`
+/// and `states`: the layer's states, survivors when pruned; 0 for a
+/// layer discarded by a stop).
 ///
 /// `prune_upper_bound` is the caller's pruning incumbent: the exact size
 /// of some real completion of the block (chain totals, including
@@ -141,8 +135,7 @@ struct FsStarResult {
 /// and replays the remaining layers bit-identically — same order, sizes,
 /// tie-breaks, ledgers (`*ops` gains the snapshot's fence totals, `gov`
 /// is credited the snapshot's charged work), at any thread count.
-/// Snapshot-writing runs take the barrier engines, whose fences hold a
-/// merged ledger; resume works on every engine.  A snapshot whose
+/// A snapshot whose
 /// fingerprint does not match (base, J, stop_k, kind, effective prune
 /// mode) throws rt::CheckpointError(kWrongInstance).
 FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,

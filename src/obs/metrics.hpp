@@ -111,15 +111,21 @@ enum class Agg : std::uint8_t {
   X(kOracleMinFindCalls, "oracle.min_find_calls", "min_find_calls", kSum)    \
   X(kOracleMinFindQueries, "oracle.min_find_queries", "min_find_queries",    \
     kSumF64)                                                                 \
-  /* sched: the task-graph scheduler (par::SchedStats) */                    \
+  /* sched: parallel regions (par::SchedStats).  Snapshot ledgers store  */ \
+  /* metric ids by row index, so retired rows stay in place.             */ \
   X(kSchedGraphs, "sched.graphs", "sched_graphs", kSum)                      \
+  /* retired, always 0 */                                                    \
   X(kSchedTasks, "sched.tasks", "sched_tasks", kSum)                         \
   X(kSchedChunks, "sched.chunks", "sched_chunks", kSum)                      \
+  /* retired, always 0 */                                                    \
   X(kSchedReadyHwm, "sched.ready_hwm", "sched_ready_hwm", kMax)              \
+  /* retired, always 0 */                                                    \
   X(kSchedOverlapTasks, "sched.overlap_tasks", "sched_overlap_tasks", kSum)  \
+  /* retired, always 0 */                                                    \
   X(kSchedOverlapNs, "sched.overlap_ns", "sched_overlap_ns", kSum)           \
   X(kSchedBarrierWaitNs, "sched.barrier_wait_ns", "sched_barrier_wait_ns",   \
     kSum)                                                                    \
+  /* retired, always 0 */                                                    \
   X(kSchedPrunedChunks, "sched.pruned_chunks", "sched_pruned_chunks", kSum)  \
   /* rt: the resource governor (rt::RunStats) */                             \
   X(kRtWorkCharged, "rt.work_charged", "work_units", kSum)                   \
@@ -271,9 +277,9 @@ class ShardedLedger {
 };
 
 /// Process-wide monotone counter registry (relaxed atomics).  The
-/// scheduler totals behind par::sched_stats() and the governor's work
-/// charges live here; benches diff two snapshots around a run they want
-/// to attribute.
+/// parallel-region totals behind par::sched_stats() and the governor's
+/// work charges live here; benches diff two snapshots around a run they
+/// want to attribute.
 class Registry {
  public:
   static Registry& global();
@@ -322,7 +328,7 @@ class Registry {
 
 // ---------------------------------------------------------------------------
 // The shared JSON serializer: every machine-readable artifact (CLI --json,
-// BENCH_fs.json, BENCH_quantum.json) renders registry counters through
+// the scaling benches' --json rows) renders registry counters through
 // these helpers, so a field's key exists in exactly one place.
 
 void append_json_u64(std::string& s, const char* key, std::uint64_t v);

@@ -1,17 +1,15 @@
 #pragma once
-// Worker-pool substrate of the ovo::par execution layer.  Since the
-// task-graph refactor this header owns only the *threads*: a lazily
-// grown set of pool workers plus the region-dispatch protocol.  All
-// scheduling lives in ovo::par::TaskGraph (task_graph.hpp) — nodes with
-// atomic dependency counters, work-chunked bodies, per-worker ready
-// deques, and a deterministic publish protocol.  parallel_for and
-// parallel_reduce below are thin wrappers that build a one-node graph.
+// Worker-pool substrate of the ovo::par execution layer: a lazily grown
+// set of pool workers and one kind of parallel region, a flat chunked
+// index range.  parallel_for and parallel_reduce are the whole API.
 //
 // Model: a parallel region splits an index range [begin, end) into
 // chunks of `grain` consecutive indices; participating threads pull
-// chunks until the range is exhausted.  The calling thread always
-// participates (as slot 0), so `threads = t` means the caller plus up to
-// t - 1 pool workers.
+// chunks from one atomic cursor until the range is exhausted.  The
+// calling thread always participates (as slot 0), so `threads = t` means
+// the caller plus up to t - 1 pool workers.  A region returns once every
+// participant has left it, so consecutive regions are separated by a
+// full barrier — the FS* DP issues one region per layer.
 //
 // Determinism contract:
 //  * parallel_for(threads <= 1, stop == nullptr) runs a plain serial
@@ -21,7 +19,7 @@
 //    interrupt 1-thread runs no later than 4-thread runs.
 //  * Which thread runs which chunk is scheduling-dependent; callers make
 //    results deterministic by giving every index its own write slot
-//    (e.g. the DP writes subset results at the subset's colex rank).
+//    (e.g. the DP writes each state's result at the state's index).
 //  * Per-thread scratch is indexed by the `slot` argument passed to the
 //    body (0 = caller, 1..t-1 = workers).  Slot-indexed accumulators
 //    must be merged with commutative operations (sums, maxes) to stay
@@ -34,21 +32,20 @@
 //    (stop != nullptr) folds chunk by chunk like the pooled path — same
 //    fold order, same cancellation granularity at every thread count.
 //
-// Nested regions: a region issued from inside ANY active region — a
-// pool worker servicing one, or a caller thread participating in a
-// graph run — executes serially on that thread (slot 0 of the inner
-// region).  Graph participants park waiting for future ready nodes
-// instead of returning when idle, so handing a nested region to the
-// pool could deadlock against the outer region's sleepers; only the
+// Nested regions: a region issued from inside an active region — on a
+// pool worker or on the caller thread while it participates — runs
+// serially inline on that thread (slot 0 of the inner region).  Only the
 // outermost region fans out.
 //
 // Cooperative cancellation: the overloads taking a `stop` flag check it
-// once per chunk — before pulling the next chunk — and drain
-// cooperatively when it flips.  Already-started chunks run to
-// completion, so a stopped region never leaves a chunk half-executed;
-// callers discard the region's output when the flag is set.  The flag is
-// typically rt::Governor::stop_flag().  Passing stop == nullptr compiles
-// to the ungoverned code path.
+// before every chunk pull and drain cooperatively when it flips.
+// Already-started chunks run to completion, so a stopped region never
+// leaves a chunk half-executed; callers discard the region's output when
+// the flag is set.  The flag is typically rt::Governor::stop_flag().
+//
+// Exceptions: the first exception a chunk throws stops the region (no
+// new chunks start), and parallel_for rethrows it on the calling thread
+// once every participant has left.  Later exceptions are dropped.
 
 #include <atomic>
 #include <condition_variable>
@@ -60,9 +57,48 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "parallel/exec_policy.hpp"
 
 namespace ovo::par {
+
+/// Parallel-region counters (process-wide totals, see sched_stats()).
+/// All times are steady-clock ns.
+struct SchedStats {
+  std::uint64_t graphs = 0;  ///< regions that fanned out over the pool
+  std::uint64_t chunks = 0;  ///< chunks those regions executed
+  /// Layer-boundary stall charged by engines (see charge_barrier_wait).
+  std::uint64_t barrier_wait_ns = 0;
+
+  /// Accumulates this struct into `l` under the sched.* metric IDs.
+  void to_ledger(obs::Ledger& l) const {
+    l.record(obs::Metric::kSchedGraphs, graphs);
+    l.record(obs::Metric::kSchedChunks, chunks);
+    l.record(obs::Metric::kSchedBarrierWaitNs, barrier_wait_ns);
+  }
+  void from_ledger(const obs::Ledger& l) {
+    graphs = l.get(obs::Metric::kSchedGraphs);
+    chunks = l.get(obs::Metric::kSchedChunks);
+    barrier_wait_ns = l.get(obs::Metric::kSchedBarrierWaitNs);
+  }
+
+  /// Delta between two snapshots of the process-wide totals.
+  SchedStats operator-(const SchedStats& o) const {
+    return {graphs - o.graphs, chunks - o.chunks,
+            barrier_wait_ns - o.barrier_wait_ns};
+  }
+};
+
+/// Snapshot of the process-wide region totals (monotone; callers diff two
+/// snapshots around a run they want to attribute).
+SchedStats sched_stats();
+
+/// Adds `ns` to the process-wide barrier_wait_ns total.  Engines call
+/// this to attribute the structural idleness of a serial seam between
+/// parallel regions (a publish epilogue, a final extraction): it leaves
+/// threads - 1 participants parked, so the engine charges
+/// (threads - 1) x the seam's duration.
+void charge_barrier_wait(std::uint64_t ns);
 
 class ThreadPool {
  public:
@@ -89,35 +125,6 @@ class ThreadPool {
     return threads < 1 ? 1 : (threads > kMaxThreads ? kMaxThreads : threads);
   }
 
-  /// True on threads owned by this pool.  Regions started from a pool
-  /// worker must execute inline (nested fan-out is forbidden by design).
-  static bool in_pool_worker() { return in_worker(); }
-
-  /// One in-flight parallel region.  TaskGraph::run implements this to
-  /// dispatch a graph over the pool; participate(slot) is the scheduling
-  /// loop each cooperating thread runs (slot 0 = caller) and must not
-  /// throw — regions capture task exceptions and rethrow after the
-  /// region drains.  The detach fields let the pool hand workers back:
-  /// once pending_ hits zero the dispatching thread may destroy the
-  /// region, so workers must not touch it after detaching.
-  class RegionBase {
-   public:
-    virtual ~RegionBase() = default;
-
-   protected:
-    friend class ThreadPool;
-    virtual void participate(int slot) = 0;
-
-   private:
-    std::mutex detach_mu_;
-    std::condition_variable detach_cv_;
-    int pending_ = 0;
-  };
-
-  /// Enqueues `extra` worker jobs for `region` (slots 1..extra),
-  /// participates as slot 0, and waits for the workers to detach.
-  void run_region(RegionBase& region, int extra);
-
   /// Runs fn(i, slot) for every i in [begin, end), chunked by `grain`
   /// over at most `threads` threads (caller included).  slot identifies
   /// the executing thread within this region, in [0, threads).
@@ -139,7 +146,7 @@ class ThreadPool {
     if (grain == 0) grain = 1;
     threads = clamp_threads(threads);
     const std::uint64_t chunks = (end - begin + grain - 1) / grain;
-    if (threads <= 1 || chunks <= 1 || in_worker()) {
+    if (threads <= 1 || chunks <= 1 || in_region()) {
       if (stop == nullptr) {
         for (std::uint64_t i = begin; i < end; ++i) fn(i, 0);
         return;
@@ -187,7 +194,7 @@ class ThreadPool {
     if (grain == 0) grain = 1;
     threads = clamp_threads(threads);
     const std::uint64_t chunks = (end - begin + grain - 1) / grain;
-    if (threads <= 1 || chunks <= 1 || in_worker()) {
+    if (threads <= 1 || chunks <= 1 || in_region()) {
       if (stop == nullptr)
         return combine(std::move(init), map_chunk(begin, end));
       if (chunks <= 1) {
@@ -214,16 +221,15 @@ class ThreadPool {
   }
 
  private:
-  struct Job {
-    RegionBase* region = nullptr;
-    int slot = 0;
-  };
+  struct Region;
 
-  /// True on threads owned by this pool (blocks nested fan-out).
-  static bool& in_worker();
+  /// True while this thread participates in a region (pool workers
+  /// always do); regions started there run inline.
+  static bool& in_region();
 
-  /// Builds a one-node TaskGraph over [begin, end) and runs it; defined
-  /// in thread_pool.cpp so this header need not include task_graph.hpp.
+  /// Fans [begin, end) out over the caller plus up to threads - 1
+  /// workers and returns once all of them have left the region;
+  /// rethrows the first exception a chunk raised.
   void run_chunked(
       std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
       int threads, const std::atomic<bool>* stop,
@@ -231,6 +237,11 @@ class ThreadPool {
 
   void ensure_workers(int count);
   void worker_main();
+
+  struct Job {
+    Region* region = nullptr;
+    int slot = 0;
+  };
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -27,7 +27,7 @@
 
 #include "core/minimize.hpp"
 #include "parallel/exec_policy.hpp"
-#include "parallel/task_graph.hpp"
+#include "parallel/thread_pool.hpp"
 #include "reorder/eval_context.hpp"
 #include "reorder/oracle.hpp"
 #include "rt/budget.hpp"
@@ -73,10 +73,10 @@ struct AutoMinimizeResult {
   /// sifting and restart stages share one memoized oracle, so an order
   /// both stages visit is evaluated once (`evals` < `queries`).
   OracleStats oracle;
-  /// ovo::par scheduler counters attributed to this run (delta of the
-  /// process-wide totals around the ladder): tasks/chunks executed,
-  /// ready-queue high-water mark, and the barrier-wait vs.
-  /// pipelined-overlap split.  All zero for a serial policy.
+  /// ovo::par region counters attributed to this run (delta of the
+  /// process-wide totals around the ladder): regions fanned out, chunks
+  /// executed, and engine-charged barrier wait.  All zero for a serial
+  /// policy.
   par::SchedStats sched;
 };
 

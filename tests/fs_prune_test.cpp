@@ -1,12 +1,11 @@
 // Tests for the bound-pruned sparse FS* DP (ExecPolicy.prune = kBounds):
-// bit-identity with the dense engines over exhaustive small-n sweeps and
-// randomized larger functions at every thread count and both pipeline
-// settings, ledger consistency, the certified lower bound, the small-n
-// serial fallback, governed engine routing, fault injection
-// (cancellation and allocation failure) on the sparse path, and the
-// DP-greedy incumbent (bit-identity, its bound, a pinned case where it
-// beats sift, and resume).  Run under the asan/tsan presets by
-// tools/ci.sh.
+// bit-identity with the dense DP over exhaustive small-n sweeps and
+// randomized larger functions at every thread count, ledger consistency,
+// the certified lower bound, the small-n serial fallback, governed
+// admission, fault injection (cancellation and allocation failure) on the
+// sparse path, and the DP-greedy incumbent (bit-identity, its bound, a
+// pinned case where it beats sift, and resume).  Run under the asan/tsan
+// presets by tools/ci.sh.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,7 @@
 #include "core/minimize.hpp"
 #include "ds/sparse_index.hpp"
 #include "parallel/exec_policy.hpp"
-#include "parallel/task_graph.hpp"
+#include "parallel/thread_pool.hpp"
 #include "reorder/minimize_auto.hpp"
 #include "reorder/oracle.hpp"
 #include "rt/budget.hpp"
@@ -30,11 +29,10 @@
 namespace ovo {
 namespace {
 
-par::ExecPolicy policy(int threads, bool pipeline = true,
+par::ExecPolicy policy(int threads,
                        par::PruneMode prune = par::PruneMode::kOff) {
   par::ExecPolicy exec;
   exec.num_threads = threads;
-  exec.pipeline = pipeline;
   exec.prune = prune;
   return exec;
 }
@@ -76,7 +74,7 @@ TEST(FsPruneDifferential, ExhaustiveN3AllFunctions) {
     const core::MinimizeResult dense = core::fs_minimize(f);
     const core::MinimizeResult pruned = core::fs_minimize(
         f, core::DiagramKind::kBdd,
-        policy(1, true, par::PruneMode::kBounds));
+        policy(1, par::PruneMode::kBounds));
     ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
         << "bits=" << bits;
     ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
@@ -94,7 +92,7 @@ TEST(FsPruneDifferential, ExhaustiveN4AllFunctions) {
     const core::MinimizeResult dense = core::fs_minimize(f);
     const core::MinimizeResult pruned = core::fs_minimize(
         f, core::DiagramKind::kBdd,
-        policy(1, true, par::PruneMode::kBounds));
+        policy(1, par::PruneMode::kBounds));
     ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
         << "bits=" << bits;
     ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
@@ -102,27 +100,22 @@ TEST(FsPruneDifferential, ExhaustiveN4AllFunctions) {
   }
 }
 
-// Random functions up to n = 10 across thread counts and both pipeline
-// settings; n >= 7 clears the serial-fallback threshold, so threads > 1
-// genuinely exercises the pruned barrier AND pruned pipelined engines.
+// Random functions up to n = 10 across thread counts; n >= 7 clears the
+// serial-fallback threshold, so threads > 1 genuinely fans the pruned
+// layers out.
 TEST(FsPruneDifferential, RandomizedAcrossThreadsAndPipelines) {
   util::Xoshiro256 rng(0xbead);
   for (const int n : {5, 6, 7, 8, 10}) {
     const tt::TruthTable f = tt::random_function(n, rng);
     const core::MinimizeResult dense = core::fs_minimize(f);
     for (const int threads : {1, 2, 4, 8}) {
-      for (const bool pipeline : {false, true}) {
-        const core::MinimizeResult pruned = core::fs_minimize(
-            f, core::DiagramKind::kBdd,
-            policy(threads, pipeline, par::PruneMode::kBounds));
-        ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
-            << "n=" << n << " threads=" << threads
-            << " pipeline=" << pipeline;
-        ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
-            << "n=" << n << " threads=" << threads
-            << " pipeline=" << pipeline;
-        expect_consistent_ledger(pruned.ops.prune);
-      }
+      const core::MinimizeResult pruned = core::fs_minimize(
+          f, core::DiagramKind::kBdd, policy(threads, par::PruneMode::kBounds));
+      ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
+          << "n=" << n << " threads=" << threads;
+      ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
+          << "n=" << n << " threads=" << threads;
+      expect_consistent_ledger(pruned.ops.prune);
     }
   }
 }
@@ -136,7 +129,7 @@ TEST(FsPruneDifferential, ZddKindMatchesDense) {
   for (const int threads : {1, 4}) {
     const core::MinimizeResult pruned = core::fs_minimize(
         f, core::DiagramKind::kZdd,
-        policy(threads, true, par::PruneMode::kBounds));
+        policy(threads, par::PruneMode::kBounds));
     EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
     EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
   }
@@ -152,7 +145,7 @@ TEST(FsPruneDifferential, TightUpperBoundKeepsTheOptimum) {
     for (const int threads : {1, 4}) {
       const core::MinimizeResult pruned = core::fs_minimize(
           f, core::DiagramKind::kBdd,
-          policy(threads, true, par::PruneMode::kBounds),
+          policy(threads, par::PruneMode::kBounds),
           dense.min_internal_nodes);
       EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
       EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
@@ -170,7 +163,7 @@ TEST(FsPruneLedger, CountsCoverTheSubsetLatticeAndBoundIsExact) {
   core::OpCounter ops;
   const core::FsStarResult r = core::fs_star(
       core::initial_table(f), util::full_mask(n), n, core::DiagramKind::kBdd,
-      &ops, policy(1, true, par::PruneMode::kBounds));
+      &ops, policy(1, par::PruneMode::kBounds));
   expect_consistent_ledger(r.prune);
   // Enumerated states cover every non-empty subset of the lattice.
   std::uint64_t lattice = 0;
@@ -193,7 +186,7 @@ TEST(FsPruneLedger, DenseModeLeavesLedgerUntouched) {
   EXPECT_EQ(dense.ops.prune.upper_bound, 0u);
   // kOff is the default: an explicit kOff policy is the same engine.
   const core::MinimizeResult off = core::fs_minimize(
-      f, core::DiagramKind::kBdd, policy(1, true, par::PruneMode::kOff));
+      f, core::DiagramKind::kBdd, policy(1, par::PruneMode::kOff));
   EXPECT_EQ(off.min_internal_nodes, dense.min_internal_nodes);
   EXPECT_EQ(off.order_root_first, dense.order_root_first);
   EXPECT_EQ(off.ops.table_cells, dense.ops.table_cells);
@@ -208,7 +201,7 @@ TEST(FsPruneLedger, StopEarlyRunsIgnoreThePruneFlag) {
   for (int k = 1; k < 5; ++k) {
     const core::FsStarResult r =
         core::fs_star(core::initial_table(f), all, k, core::DiagramKind::kBdd,
-                      nullptr, policy(1, true, par::PruneMode::kBounds));
+                      nullptr, policy(1, par::PruneMode::kBounds));
     EXPECT_EQ(r.tables.size(), util::binomial_u64(5, k)) << "k=" << k;
     EXPECT_EQ(r.prune.states_enumerated(), 0u) << "k=" << k;
   }
@@ -229,24 +222,25 @@ TEST(FsPruneRouting, SmallInstancesFallBackToSerial) {
   EXPECT_EQ(delta.chunks, 0u);
   EXPECT_EQ(r.min_internal_nodes, core::fs_minimize(small).min_internal_nodes);
 
-  // One variable more clears the threshold: the pipelined engine runs
-  // the whole DP as one graph.
+  // One variable more clears the threshold: one region per layer of
+  // more than one state (layers 1..6 of 7).
   const tt::TruthTable big = tt::random_function(7, rng);
   const par::SchedStats before2 = par::sched_stats();
-  core::fs_minimize(big, core::DiagramKind::kBdd, policy(4));
+  const core::MinimizeResult r2 =
+      core::fs_minimize(big, core::DiagramKind::kBdd, policy(4));
   const par::SchedStats delta2 = par::sched_stats() - before2;
-  EXPECT_EQ(delta2.graphs, 1u);
+  EXPECT_EQ(delta2.graphs, 6u);
   EXPECT_GT(delta2.chunks, 0u);
+  EXPECT_EQ(r2.min_internal_nodes, core::fs_minimize(big).min_internal_nodes);
 }
 
-// A pruned run under deterministic budget limits must take the barrier
-// engine (one parallel_for graph per fanned-out layer) even when the
-// policy asks to pipeline; without such limits it pipelines as one
-// graph.
+// A pruned run under deterministic budget limits runs the same layer loop
+// as an ungoverned one: a roomy work limit changes neither the regions
+// issued nor the order and size returned.
 TEST(FsPruneRouting, DeterministicLimitsForceTheBarrierEngine) {
   util::Xoshiro256 rng(0xbead);
   const tt::TruthTable f = tt::random_function(7, rng);
-  const par::ExecPolicy exec = policy(4, true, par::PruneMode::kBounds);
+  const par::ExecPolicy exec = policy(4, par::PruneMode::kBounds);
 
   const par::SchedStats before = par::sched_stats();
   core::OpCounter ops;
@@ -262,7 +256,7 @@ TEST(FsPruneRouting, DeterministicLimitsForceTheBarrierEngine) {
       core::fs_star(core::initial_table(f), util::full_mask(7), 7,
                     core::DiagramKind::kBdd, nullptr, exec);
   const par::SchedStats delta2 = par::sched_stats() - before2;
-  EXPECT_EQ(delta2.graphs, 1u);  // the whole DP is one task graph
+  EXPECT_EQ(delta2.graphs, delta.graphs);
 
   EXPECT_EQ(governed.tables.at(util::full_mask(7)).mincost(),
             free_run.tables.at(util::full_mask(7)).mincost());
@@ -282,7 +276,7 @@ TEST(FsPruneGoverned, WorkLimitTripIsThreadCountInvariant) {
   rt::Budget b;
   b.work_limit = 30000;  // trips a few layers into the n=9 pruned DP
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(1, true, par::PruneMode::kBounds);
+  opt.exec = policy(1, par::PruneMode::kBounds);
 
   const auto reference = reorder::minimize_auto(f, b, opt);
   EXPECT_EQ(reference.outcome, rt::Outcome::kDeadline);
@@ -293,7 +287,7 @@ TEST(FsPruneGoverned, WorkLimitTripIsThreadCountInvariant) {
 
   for (const int threads : {2, 4, 8}) {
     reorder::AutoMinimizeOptions t_opt;
-    t_opt.exec = policy(threads, true, par::PruneMode::kBounds);
+    t_opt.exec = policy(threads, par::PruneMode::kBounds);
     const auto r = reorder::minimize_auto(f, b, t_opt);
     EXPECT_EQ(r.outcome, reference.outcome) << "threads=" << threads;
     EXPECT_EQ(r.value.order_root_first, reference.value.order_root_first)
@@ -318,7 +312,7 @@ TEST(FsPruneGoverned, RoomyBudgetCompletesOptimally) {
   const tt::TruthTable f = tt::random_function(8, rng);
   const std::uint64_t optimal = core::fs_minimize(f).min_internal_nodes;
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(4, true, par::PruneMode::kBounds);
+  opt.exec = policy(4, par::PruneMode::kBounds);
   const auto r = reorder::minimize_auto(f, rt::Budget{}, opt);
   EXPECT_EQ(r.outcome, rt::Outcome::kComplete);
   EXPECT_TRUE(r.value.optimal);
@@ -330,7 +324,7 @@ TEST(FsPruneGoverned, RoomyBudgetCompletesOptimally) {
 
 // ---------------------------------------------------------------- faults --
 
-// Cancellation mid-DP on the pruned pipelined path: the DAG drains, the
+// Cancellation mid-DP on the pruned 4-thread path: the layer drains, the
 // ladder salvages a valid order, the prune ledger stays consistent, and
 // the interrupted run still reports a certified lower bound.
 TEST(FsPruneFaults, CancelMidDagKeepsLedgerAndBoundConsistent) {
@@ -346,7 +340,7 @@ TEST(FsPruneFaults, CancelMidDagKeepsLedgerAndBoundConsistent) {
   rt::Budget b;
   b.cancel = &token;
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(4, true, par::PruneMode::kBounds);
+  opt.exec = policy(4, par::PruneMode::kBounds);
   opt.prune_seed = "none";  // keep every checkpoint inside the DP
   const auto r = reorder::minimize_auto(f, b, opt);
   EXPECT_EQ(r.outcome, rt::Outcome::kCancelled);
@@ -361,14 +355,14 @@ TEST(FsPruneFaults, CancelMidDagKeepsLedgerAndBoundConsistent) {
   EXPECT_GE(scoped.checkpoints_seen(), 100u);
 }
 
-// Allocation faults injected under the pruned pipelined DP: the
-// bad_alloc drains the DAG, propagates exactly once, and a rerun with
+// Allocation faults injected under the pruned 4-thread DP: the
+// bad_alloc drains the layer, propagates exactly once, and a rerun with
 // the plan gone is bit-identical to the dense serial reference.
 TEST(FsPruneFaults, AllocFaultDrainsAndLeavesNoCorruption) {
   util::Xoshiro256 rng(0xa110c);
   const tt::TruthTable f = tt::random_function(8, rng);
   const core::MinimizeResult serial = core::fs_minimize(f);
-  const par::ExecPolicy exec = policy(4, true, par::PruneMode::kBounds);
+  const par::ExecPolicy exec = policy(4, par::PruneMode::kBounds);
 
   std::uint64_t events = 0;
   {
@@ -403,7 +397,7 @@ TEST(FsPruneFaults, AllocFaultDrainsAndLeavesNoCorruption) {
 
 // The figures below are what the unbounded candidate sweep produces.
 // Cutting losing candidates short must change no prune decision and no
-// Theorem 5 count, on either engine at any thread count.
+// Theorem 5 count, at any thread count.
 
 /// A pruned run's whole ledger and Theorem 5 counts.
 struct PrunedRunPin {
@@ -416,8 +410,7 @@ struct PrunedRunPin {
 
 /// fs_star with a sift-seeded incumbent, as `ovo order --prune bounds`
 /// runs it.
-PrunedRunPin sift_seeded_pruned_run(const tt::TruthTable& f, int threads,
-                                    bool pipeline) {
+PrunedRunPin sift_seeded_pruned_run(const tt::TruthTable& f, int threads) {
   reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
   const reorder::PruneSeedResult seeded = reorder::seed_prune_bound(
       oracle, "sift", 8, 16, 42, reorder::EvalContext{});
@@ -425,7 +418,7 @@ PrunedRunPin sift_seeded_pruned_run(const tt::TruthTable& f, int threads,
   const int n = f.num_vars();
   const core::FsStarResult r = core::fs_star(
       core::initial_table(f), util::full_mask(n), n, core::DiagramKind::kBdd,
-      &ops, policy(threads, pipeline, par::PruneMode::kBounds), nullptr,
+      &ops, policy(threads, par::PruneMode::kBounds), nullptr,
       seeded.upper_bound);
   return {r.prune, r.certified_lower_bound, ops.table_cells, ops.compactions,
           ops.peak_cells};
@@ -470,11 +463,8 @@ TEST(FsPrunePins, SiftSeededRunsKeepTheUnboundedLedger) {
   };
   for (const auto& c : cases) {
     for (const int threads : {1, 4}) {
-      for (const bool pipeline : {false, true}) {
-        SCOPED_TRACE(testing::Message() << c.name << " threads=" << threads
-                                        << " pipeline=" << pipeline);
-        expect_pin(c.want, sift_seeded_pruned_run(c.f, threads, pipeline));
-      }
+      SCOPED_TRACE(testing::Message() << c.name << " threads=" << threads);
+      expect_pin(c.want, sift_seeded_pruned_run(c.f, threads));
     }
   }
 }
@@ -482,15 +472,12 @@ TEST(FsPrunePins, SiftSeededRunsKeepTheUnboundedLedger) {
 TEST(FsPrunePins, DenseRunKeepsTheTheorem5Counts) {
   const tt::TruthTable f = tt::hidden_weighted_bit(12);
   for (const int threads : {1, 4}) {
-    for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                      << " pipeline=" << pipeline);
-      const core::MinimizeResult m = core::fs_minimize(
-          f, core::DiagramKind::kBdd, policy(threads, pipeline));
-      EXPECT_EQ(m.ops.table_cells, 4251528u);
-      EXPECT_EQ(m.ops.compactions, 24576u);
-      EXPECT_EQ(m.ops.peak_cells, 239360u);
-    }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const core::MinimizeResult m =
+        core::fs_minimize(f, core::DiagramKind::kBdd, policy(threads));
+    EXPECT_EQ(m.ops.table_cells, 4251528u);
+    EXPECT_EQ(m.ops.compactions, 24576u);
+    EXPECT_EQ(m.ops.peak_cells, 239360u);
   }
 }
 
@@ -505,8 +492,8 @@ tt::TruthTable relabelled_multiplier12() {
 }
 
 /// Self-seeded (DP-greedy) pruned runs return the dense order, size and
-/// tie-breaks, and prune against a real completion, on both pruned
-/// engines at every thread count.
+/// tie-breaks, and prune against a real completion, at every thread
+/// count.
 TEST(FsPruneIncumbent, SelfSeededRunsMatchDense) {
   util::Xoshiro256 rng(0x9eed);
   const struct {
@@ -524,17 +511,15 @@ TEST(FsPruneIncumbent, SelfSeededRunsMatchDense) {
          {core::DiagramKind::kBdd, core::DiagramKind::kZdd}) {
       const core::MinimizeResult dense = core::fs_minimize(c.f, kind);
       for (const int threads : {1, 2, 4}) {
-        for (const bool pipeline : {false, true}) {
-          SCOPED_TRACE(testing::Message()
-                       << c.name << " zdd=" << (kind == core::DiagramKind::kZdd)
-                       << " threads=" << threads << " pipeline=" << pipeline);
-          const core::MinimizeResult pruned = core::fs_minimize(
-              c.f, kind, policy(threads, pipeline, par::PruneMode::kBounds));
-          EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
-          EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
-          EXPECT_GE(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
-          expect_consistent_ledger(pruned.ops.prune);
-        }
+        SCOPED_TRACE(testing::Message()
+                     << c.name << " zdd=" << (kind == core::DiagramKind::kZdd)
+                     << " threads=" << threads);
+        const core::MinimizeResult pruned = core::fs_minimize(
+            c.f, kind, policy(threads, par::PruneMode::kBounds));
+        EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
+        EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
+        EXPECT_GE(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
+        expect_consistent_ledger(pruned.ops.prune);
       }
     }
   }
@@ -547,15 +532,12 @@ TEST(FsPruneIncumbent, MtbddSelfSeededRunsMatchDense) {
     for (auto& v : values) v = static_cast<std::int64_t>(rng.below(4));
     const core::MinimizeResult dense = core::fs_minimize_mtbdd(values, n);
     for (const int threads : {1, 2, 4}) {
-      for (const bool pipeline : {false, true}) {
-        SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads
-                                        << " pipeline=" << pipeline);
-        const core::MinimizeResult pruned = core::fs_minimize_mtbdd(
-            values, n, policy(threads, pipeline, par::PruneMode::kBounds));
-        EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
-        EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
-        EXPECT_GE(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
-      }
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      const core::MinimizeResult pruned = core::fs_minimize_mtbdd(
+          values, n, policy(threads, par::PruneMode::kBounds));
+      EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
+      EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
+      EXPECT_GE(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
     }
   }
 }
@@ -573,7 +555,7 @@ TEST(FsPruneIncumbent, EffectiveBoundLiesBetweenOptimumAndCallerBound) {
     const std::uint64_t opt = core::fs_minimize(f).min_internal_nodes;
     const std::uint64_t self_seeded =
         core::fs_minimize(f, core::DiagramKind::kBdd,
-                          policy(1, true, par::PruneMode::kBounds))
+                          policy(1, par::PruneMode::kBounds))
             .ops.prune.upper_bound;
     EXPECT_GE(self_seeded, opt);
     for (const std::uint64_t caller :
@@ -584,7 +566,7 @@ TEST(FsPruneIncumbent, EffectiveBoundLiesBetweenOptimumAndCallerBound) {
         const core::FsStarResult r = core::fs_star(
             core::initial_table(f), util::full_mask(n), n,
             core::DiagramKind::kBdd, nullptr,
-            policy(threads, true, par::PruneMode::kBounds), nullptr, caller);
+            policy(threads, par::PruneMode::kBounds), nullptr, caller);
         EXPECT_EQ(r.prune.upper_bound, std::min(caller, self_seeded));
         EXPECT_GE(r.prune.upper_bound, opt);
         EXPECT_LE(r.prune.upper_bound, caller);
@@ -595,7 +577,7 @@ TEST(FsPruneIncumbent, EffectiveBoundLiesBetweenOptimumAndCallerBound) {
 
 /// The sift-seeded pruned run of the relabelled multiplier, where the
 /// DP-greedy step lowers the incumbent from sift's 194 to 138.
-PrunedRunPin multiplier_pin_run(int threads, bool pipeline,
+PrunedRunPin multiplier_pin_run(int threads,
                                 const core::FsCheckpointOptions* ckpt,
                                 std::uint64_t* sift_bound) {
   const tt::TruthTable f = relabelled_multiplier12();
@@ -607,7 +589,7 @@ PrunedRunPin multiplier_pin_run(int threads, bool pipeline,
   const core::FsStarResult r = core::fs_star(
       core::initial_table(f), util::full_mask(12), 12,
       core::DiagramKind::kBdd, &ops,
-      policy(threads, pipeline, par::PruneMode::kBounds), nullptr,
+      policy(threads, par::PruneMode::kBounds), nullptr,
       seeded.upper_bound, ckpt);
   EXPECT_EQ(r.tables.at(util::full_mask(12)).mincost(), 134u);
   return {r.prune, r.certified_lower_bound, ops.table_cells, ops.compactions,
@@ -624,14 +606,11 @@ const PrunedRunPin kMultiplierPin = {
 
 TEST(FsPruneIncumbent, DpGreedyBeatsSiftOnRelabelledMultiplier) {
   for (const int threads : {1, 2, 4}) {
-    for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                      << " pipeline=" << pipeline);
-      std::uint64_t sift_bound = 0;
-      expect_pin(kMultiplierPin,
-                 multiplier_pin_run(threads, pipeline, nullptr, &sift_bound));
-      EXPECT_EQ(sift_bound, 194u);
-    }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    std::uint64_t sift_bound = 0;
+    expect_pin(kMultiplierPin,
+               multiplier_pin_run(threads, nullptr, &sift_bound));
+    EXPECT_EQ(sift_bound, 194u);
   }
 }
 
@@ -644,7 +623,7 @@ TEST(FsPruneIncumbent, ResumeReplaysTheEffectiveIncumbent) {
   write.on_bytes = [&](const std::vector<std::uint8_t>& p) {
     fences.push_back(p);
   };
-  expect_pin(kMultiplierPin, multiplier_pin_run(1, false, &write, nullptr));
+  expect_pin(kMultiplierPin, multiplier_pin_run(1, &write, nullptr));
   ASSERT_GE(fences.size(), 6u);
   for (const std::size_t at : {std::size_t{0}, std::size_t{5}}) {
     const core::FsStarSnapshot snap =
@@ -653,13 +632,9 @@ TEST(FsPruneIncumbent, ResumeReplaysTheEffectiveIncumbent) {
     core::FsCheckpointOptions resume;
     resume.resume = &snap;
     for (const int threads : {1, 2, 4}) {
-      for (const bool pipeline : {false, true}) {
-        SCOPED_TRACE(testing::Message() << "layer=" << snap.layer
-                                        << " threads=" << threads
-                                        << " pipeline=" << pipeline);
-        expect_pin(kMultiplierPin,
-                   multiplier_pin_run(threads, pipeline, &resume, nullptr));
-      }
+      SCOPED_TRACE(testing::Message() << "layer=" << snap.layer
+                                      << " threads=" << threads);
+      expect_pin(kMultiplierPin, multiplier_pin_run(threads, &resume, nullptr));
     }
   }
 }
@@ -667,7 +642,7 @@ TEST(FsPruneIncumbent, ResumeReplaysTheEffectiveIncumbent) {
 /// A pruned run of the relabelled multiplier against `caller`, stopped by
 /// a cancel at governor checkpoint `cancel_at` (0: never).  Only the
 /// ledger is read: a stopped run has no final table.
-PrunedRunPin multiplier_run(std::uint64_t caller, int threads, bool pipeline,
+PrunedRunPin multiplier_run(std::uint64_t caller, int threads,
                             const core::FsCheckpointOptions* ckpt,
                             std::uint64_t cancel_at) {
   const tt::TruthTable f = relabelled_multiplier12();
@@ -683,7 +658,7 @@ PrunedRunPin multiplier_run(std::uint64_t caller, int threads, bool pipeline,
   const core::FsStarResult r = core::fs_star(
       core::initial_table(f), util::full_mask(12), 12,
       core::DiagramKind::kBdd, &ops,
-      policy(threads, pipeline, par::PruneMode::kBounds), &gov, caller, ckpt);
+      policy(threads, par::PruneMode::kBounds), &gov, caller, ckpt);
   return {r.prune, r.certified_lower_bound, ops.table_cells, ops.compactions,
           ops.peak_cells};
 }
@@ -696,14 +671,14 @@ PrunedRunPin multiplier_run(std::uint64_t caller, int threads, bool pipeline,
 /// times per completion.
 TEST(FsPruneIncumbent, ResumeFromAStoppedStepReplaysTheUninterruptedRun) {
   for (const std::uint64_t caller : {std::uint64_t{0}, std::uint64_t{194}}) {
-    const PrunedRunPin want = multiplier_run(caller, 1, false, nullptr, 0);
+    const PrunedRunPin want = multiplier_run(caller, 1, nullptr, 0);
     EXPECT_EQ(want.prune.upper_bound, 138u);
     for (const std::uint64_t cancel_at : {1, 12, 13, 40, 100}) {
       std::vector<std::uint8_t> last;
       core::FsCheckpointOptions write;
       write.on_bytes = [&](const std::vector<std::uint8_t>& p) { last = p; };
       const PrunedRunPin tripped =
-          multiplier_run(caller, 1, false, &write, cancel_at);
+          multiplier_run(caller, 1, &write, cancel_at);
       SCOPED_TRACE(testing::Message()
                    << "caller=" << caller << " cancel_at=" << cancel_at);
       ASSERT_FALSE(last.empty());
@@ -719,12 +694,8 @@ TEST(FsPruneIncumbent, ResumeFromAStoppedStepReplaysTheUninterruptedRun) {
       core::FsCheckpointOptions resume;
       resume.resume = &snap;
       for (const int threads : {1, 4}) {
-        for (const bool pipeline : {false, true}) {
-          SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                          << " pipeline=" << pipeline);
-          expect_pin(want,
-                     multiplier_run(caller, threads, pipeline, &resume, 0));
-        }
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        expect_pin(want, multiplier_run(caller, threads, &resume, 0));
       }
     }
   }
@@ -738,7 +709,7 @@ TEST(FsPruneIncumbent, ResumeFromAStoppedStepReplaysTheUninterruptedRun) {
 TEST(FsPruneIncumbent, ResumedLadderReportsTheSizeOfItsOrder) {
   const tt::TruthTable f = relabelled_multiplier12();
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(1, false, par::PruneMode::kBounds);
+  opt.exec = policy(1, par::PruneMode::kBounds);
   opt.restarts = 0;
   int above_incumbent = 0;
   for (const std::uint64_t work_limit :

@@ -1,7 +1,8 @@
 // Tests for the thread pool's cooperative-cancellation and exception
 // paths: a stop flag drains regions at chunk boundaries without
 // deadlocking, exceptions propagate exactly once while other regions are
-// mid-flight, and the combination behaves under the tsan preset.
+// mid-flight, the combination behaves under the tsan preset, and a
+// cancelled FS* run keeps only its completed layers' op counts.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,11 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/task_graph.hpp"
+#include "core/fs_star.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rt/budget.hpp"
+#include "rt/fault.hpp"
+#include "tt/function_zoo.hpp"
 
 namespace ovo::par {
 namespace {
@@ -169,61 +173,60 @@ TEST(PoolExceptions, NestedRegionsSerializeAndPropagate) {
   EXPECT_EQ(caught.load(), 1);
 }
 
-// --- task-graph drain ------------------------------------------------------
+// --- stopped FS* runs -------------------------------------------------------
 
-// Cancellation of a dependency DAG is a drain, not a loop exit: the stop
-// flag is polled before every chunk, in-flight chunks complete, and
-// unstarted nodes are abandoned.  Repeated rounds make the mid-flight
-// interleavings show up under the tsan preset.
-TEST(Cancellation, MidDagTripDrainsTheGraphWithoutDeadlock) {
-  int drained_early = 0;
-  for (int round = 0; round < 30; ++round) {
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> ran{0};
-    TaskGraph g;
-    TaskGraph::TaskId prev = 0;
-    for (int layer = 0; layer < 4; ++layer) {
-      const TaskGraph::TaskId id = g.add_range(
-          std::uint64_t{0}, std::uint64_t{5'000}, 32,
-          [&](std::uint64_t i, int) {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            if (i == 1'000) stop.store(true);
-          });
-      if (layer > 0) g.add_edge(prev, id);
-      prev = id;
-    }
-    g.run(4, &stop);
-    EXPECT_GT(ran.load(), 0u);
-    EXPECT_LE(ran.load(), 20'000u);
-    if (ran.load() < 20'000u) ++drained_early;
-  }
-  EXPECT_GT(drained_early, 0);
+/// fs_star over hwb(10), cancelled at governor checkpoint `cancel_at`.
+core::FsStarResult cancelled_fs_star(int threads, PruneMode prune,
+                                     std::uint64_t cancel_at,
+                                     core::OpCounter* ops) {
+  const tt::TruthTable f = tt::hidden_weighted_bit(10);
+  rt::CancelToken token;
+  rt::Budget budget;
+  budget.cancel = &token;
+  rt::Governor gov(budget);
+  rt::FaultPlan plan;
+  plan.cancel_at_checkpoint = cancel_at;
+  plan.cancel = &token;
+  rt::ScopedFaultPlan scoped(plan);
+  ExecPolicy exec;
+  exec.num_threads = threads;
+  exec.prune = prune;
+  return core::fs_star(core::initial_table(f), util::full_mask(10), 10,
+                       core::DiagramKind::kBdd, ops, exec, &gov);
 }
 
-// A stop and a task exception racing inside one DAG: either outcome
-// (drain or throw) is legal; returning is the assertion.
-TEST(Cancellation, DagThrowAndCancelRacingDoNotDeadlock) {
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<bool> stop{false};
-    bool threw = false;
-    TaskGraph g;
-    const TaskGraph::TaskId a = g.add_range(
-        std::uint64_t{0}, std::uint64_t{10'000}, 16,
-        [&](std::uint64_t i, int) {
-          // Different chunks (grain 16), so the stop poll before the
-          // throwing chunk races the other worker claiming it.
-          if (i == 500) stop.store(true);
-          if (i == 520) throw std::runtime_error("race");
-        });
-    const TaskGraph::TaskId b =
-        g.add([](int) {});  // dependent, abandoned either way
-    g.add_edge(a, b);
-    try {
-      g.run(4, &stop);
-    } catch (const std::runtime_error&) {
-      threw = true;
+// A stopped run discards its partial layer, op counts included: a
+// cancelled 4-thread run counts exactly its completed layers, the same
+// ops as a serial run stopped at the same layer and, in dense mode, as an
+// unstopped run that ends at that layer.
+TEST(Cancellation, StoppedDpCountsOnlyItsCompletedLayers) {
+  for (const PruneMode prune : {PruneMode::kOff, PruneMode::kBounds}) {
+    for (const std::uint64_t cancel_at : {100, 200, 400}) {
+      SCOPED_TRACE(testing::Message()
+                   << "pruned=" << (prune == PruneMode::kBounds)
+                   << " cancel_at=" << cancel_at);
+      core::OpCounter par_ops, ser_ops;
+      const core::FsStarResult par_r =
+          cancelled_fs_star(4, prune, cancel_at, &par_ops);
+      const core::FsStarResult ser_r =
+          cancelled_fs_star(1, prune, cancel_at, &ser_ops);
+      ASSERT_GT(par_r.completed_layers, 0);
+      ASSERT_LT(par_r.completed_layers, 10);
+      EXPECT_EQ(par_r.completed_layers, ser_r.completed_layers);
+      EXPECT_EQ(par_ops.table_cells, ser_ops.table_cells);
+      EXPECT_EQ(par_ops.compactions, ser_ops.compactions);
+      EXPECT_EQ(par_ops.peak_cells, ser_ops.peak_cells);
+      EXPECT_EQ(par_r.prune.states_generated, ser_r.prune.states_generated);
+      if (prune == PruneMode::kOff) {
+        core::OpCounter layers_ops;
+        core::fs_star(core::initial_table(tt::hidden_weighted_bit(10)),
+                      util::full_mask(10), par_r.completed_layers,
+                      core::DiagramKind::kBdd, &layers_ops);
+        EXPECT_EQ(par_ops.table_cells, layers_ops.table_cells);
+        EXPECT_EQ(par_ops.compactions, layers_ops.compactions);
+        EXPECT_EQ(par_ops.peak_cells, layers_ops.peak_cells);
+      }
     }
-    (void)threw;
   }
 }
 

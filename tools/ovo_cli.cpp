@@ -24,8 +24,8 @@
 // `--strategy fs`, which is ungoverned and rejects them (exit 2).  --json
 // emits one machine-readable object including the outcome, the certified
 // lower bound, and the unified oracle counters — rendered through the
-// obs shared serializer, so its field names match BENCH_fs.json /
-// BENCH_quantum.json exactly; --json-out additionally writes that object
+// obs shared serializer, so its field names match the scaling benches'
+// --json rows exactly; --json-out additionally writes that object
 // to FILE atomically (temp file + fsync + rename), so a killed run never
 // leaves a torn artifact.  --trace FILE collects obs trace spans during
 // the run and writes them as Chrome trace-event JSON (open the file in

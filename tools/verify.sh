@@ -22,8 +22,8 @@
 # returns the identical order and size as the dense default, and a check
 # that `--strategy fs` rejects every budget flag with exit 2, and that
 # every subcommand rejects an unknown option or a stray argument with
-# exit 2.  Quick mode also smokes `ovo order --trace` (the exported
-# Chrome trace must be valid JSON with fs.group/fs.fence spans and
+# exit 2.  Quick mode also smokes `ovo order --trace` at 1 and 2 threads
+# (the exported Chrome trace must be valid JSON with fs.layer spans and
 # per-thread monotone timestamps), builds the OVO_FUZZ targets for a
 # fixed-seed random smoke plus corpus replay, and runs the trimmed CLI
 # chaos sweep (tools/chaos.sh --quick): torn-write/fault injection
@@ -178,17 +178,18 @@ if [[ "${QUICK}" -eq 1 ]]; then
   [[ "${rc}" -eq 3 ]]
   grep -q 'checkpoint error' "${smoke_dir}/err.txt"
   echo "==== quick: trace-span smoke ==============================="
-  # A traced parallel run must export a loadable Chrome trace: valid
-  # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
+  # A traced run, serial or parallel, must export a loadable Chrome
+  # trace: valid JSON, complete ("X") events only, the FS* DP's fs.layer
   # spans present, and timestamps monotone within each thread lane.
-  build/tools/ovo order --strategy fs --threads 2 --json \
-    --trace "${smoke_dir}/trace.json" "${smoke_fn}" > /dev/null
-  python3 - "${smoke_dir}/trace.json" <<'PY'
+  for threads in 1 2; do
+    build/tools/ovo order --strategy fs --threads "${threads}" --json \
+      --trace "${smoke_dir}/trace.json" "${smoke_fn}" > /dev/null
+    python3 - "${smoke_dir}/trace.json" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 assert events, "trace is empty"
 names = {e["name"] for e in events}
-assert {"fs.group", "fs.fence"} <= names, f"missing FS spans: {names}"
+assert "fs.layer" in names, f"missing FS spans: {names}"
 last = {}
 for e in events:
     assert e["ph"] == "X", e
@@ -197,6 +198,7 @@ for e in events:
 print(f"trace: {len(events)} events across {len(last)} thread lanes, "
       f"spans {sorted(names)}")
 PY
+  done
   echo "==== quick: fuzz-frontier smoke ============================"
   # Build the fuzz targets (standalone replay drivers under GCC,
   # libFuzzer under Clang) and give each one a fixed-seed random smoke
