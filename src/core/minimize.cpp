@@ -13,14 +13,13 @@ namespace {
 
 MinimizeResult minimize_from_base(const PrefixTable& base, DiagramKind kind,
                                   const par::ExecPolicy& exec,
-                                  std::uint64_t prune_upper_bound = 0,
-                                  const FsCheckpointOptions* ckpt = nullptr) {
+                                  std::uint64_t prune_upper_bound = 0) {
   MinimizeResult out;
   const util::Mask all = util::full_mask(base.n);
   std::vector<int> bottom_up;
   const PrefixTable final_table =
       fs_star_full(base, all, kind, &out.ops, &bottom_up, exec,
-                   prune_upper_bound, ckpt);
+                   prune_upper_bound);
   out.min_internal_nodes = final_table.mincost();
   out.order_root_first.assign(bottom_up.rbegin(), bottom_up.rend());
   return out;
@@ -30,12 +29,10 @@ MinimizeResult minimize_from_base(const PrefixTable& base, DiagramKind kind,
 
 MinimizeResult fs_minimize(const tt::TruthTable& f, DiagramKind kind,
                            const par::ExecPolicy& exec,
-                           std::uint64_t prune_upper_bound,
-                           const FsCheckpointOptions* ckpt) {
+                           std::uint64_t prune_upper_bound) {
   OVO_CHECK_MSG(kind != DiagramKind::kMtbdd,
                 "fs_minimize: use fs_minimize_mtbdd for value tables");
-  return minimize_from_base(initial_table(f), kind, exec, prune_upper_bound,
-                            ckpt);
+  return minimize_from_base(initial_table(f), kind, exec, prune_upper_bound);
 }
 
 MinimizeResult fs_minimize_mtbdd(const std::vector<std::int64_t>& values,

@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "core/fs_checkpoint.hpp"
 #include "core/prefix_table.hpp"
 #include "parallel/exec_policy.hpp"
 #include "tt/truth_table.hpp"
@@ -35,13 +34,12 @@ struct MinimizeResult {
 /// PruneMode::kBounds, `prune_upper_bound` is the caller's pruning
 /// incumbent (0 for none; the DP lowers it to its DP-greedy bound, see
 /// fs_star) — the result is still exact and bit-identical to the dense
-/// run.  `ckpt` enables durable checkpoint/resume of the DP (see fs_star
-/// / fs_checkpoint.hpp).
+/// run.  Checkpointing and budgets are the governed ladder's job
+/// (reorder::minimize_auto, the `fs` strategy).
 MinimizeResult fs_minimize(const tt::TruthTable& f,
                            DiagramKind kind = DiagramKind::kBdd,
                            const par::ExecPolicy& exec = {},
-                           std::uint64_t prune_upper_bound = 0,
-                           const FsCheckpointOptions* ckpt = nullptr);
+                           std::uint64_t prune_upper_bound = 0);
 
 /// Exact minimum ZDD ordering (Appendix D adaptation).
 inline MinimizeResult fs_minimize_zdd(const tt::TruthTable& f,

@@ -103,8 +103,8 @@ OrderSearchResult random_restart(const tt::TruthTable& f, int restarts,
 
 /// Oracle-based primary implementation of random_restart.  `rng` stays an
 /// explicit parameter: the draw stream is part of the determinism
-/// contract (ladder stages pass a seeded stream; ctx.seed is only used
-/// by the strategy registry to construct one).
+/// contract (the ladder's stages and the `restarts` strategy each seed
+/// their own stream).
 OrderSearchResult random_restart(CostOracle& oracle, int restarts,
                                  util::Xoshiro256& rng,
                                  const EvalContext& ctx = {});

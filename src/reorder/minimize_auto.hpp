@@ -1,7 +1,9 @@
 #pragma once
 // Graceful degradation for exact minimization: run the Friedman–Supowit
 // DP under a budget, and when it trips, salvage the partial DP into a
-// heuristic search instead of failing.
+// heuristic search instead of failing.  This ladder is the library's one
+// exact request path: the registry's `fs` strategy (and so `ovo order`)
+// runs it, under an unlimited governor when the caller brings none.
 //
 // The ladder:
 //   1. Exact FS* DP, layer by layer, each layer pre-admitted against the
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fs_checkpoint.hpp"
 #include "core/minimize.hpp"
 #include "parallel/exec_policy.hpp"
 #include "parallel/thread_pool.hpp"

@@ -1,10 +1,10 @@
 #pragma once
 // Name-keyed strategy registry — one front door for every variable-
 // ordering minimizer in the library: the classical reorder searches, the
-// exact engines (FS DP, branch-and-bound, the governed minimize_auto
-// ladder), in-place dynamic sifting on the live DAG, and the simulated
-// quantum OptOBDD.  The CLI's --strategy flag, the benches, and the
-// tests all resolve algorithms here, so adding a minimizer is one
+// exact engines (the FS DP, run as the governed minimize_auto ladder, and
+// branch-and-bound), in-place dynamic sifting on the live DAG, and the
+// simulated quantum OptOBDD.  The CLI's --strategy flag, the benches, and
+// the tests all resolve algorithms here, so adding a minimizer is one
 // registry entry — not a new flag plumbed through every consumer.
 //
 // Every strategy reports through the same StrategyResult: the order
@@ -33,20 +33,23 @@ struct StrategyOptions {
   /// Block width for `window` and `exact-window`.
   int window = 3;
   /// Pass cap for the fixpoint heuristics (`sift`, `window`,
-  /// `exact-window`, `dynamic`) and the `auto` ladder's sifting stage.
+  /// `exact-window`, `dynamic`) and for the sifting in `fs`'s seed and
+  /// salvage stages.
   int max_passes = 8;
-  /// Random orders drawn by `restarts`.
+  /// Random orders drawn by `restarts` (`fs` draws its own 64, see
+  /// AutoMinimizeOptions).
   int restarts = 16;
-  /// RNG seed for the stochastic strategies (`anneal`, `restarts`).
+  /// RNG seed for the stochastic strategies (`anneal`, `restarts`); `fs`
+  /// uses AutoMinimizeOptions::restart_seed.
   std::uint64_t seed = 42;
   /// Division-point fractions for `quantum` (Theorem 10's alphas).
   std::vector<double> alphas = {0.27};
-  /// Heuristic seeding the bound-pruned DP's incumbent for `fs` and
-  /// `auto` when EvalContext.exec.prune == PruneMode::kBounds: "sift"
-  /// (default), "window", "restarts", "anneal", or "none" (self-seed).
-  /// Ignored when pruning is off.
+  /// Heuristic seeding the bound-pruned DP's incumbent for `fs` when
+  /// EvalContext.exec.prune == PruneMode::kBounds: "sift" (default),
+  /// "window", "restarts", "anneal", or "none" (self-seed).  Ignored when
+  /// pruning is off.
   std::string prune_seed = "sift";
-  /// Checkpoint/resume for the exact DP inside `fs` and `auto` (see
+  /// Checkpoint/resume for the exact DP inside `fs` (see
   /// core::FsCheckpointOptions); ignored by every other strategy.
   core::FsCheckpointOptions ckpt{};
 };
@@ -59,14 +62,15 @@ struct StrategyResult {
   /// True iff the order is proven optimal for the requested kind.
   bool optimal = false;
   /// Certified lower bound on the optimal size: equals internal_nodes
-  /// when optimal; on a tripped `auto` run, the deepest completed DP
+  /// when optimal; on a tripped `fs` run, the deepest completed DP
   /// layer's proven bound; otherwise 0 (no certificate).
   std::uint64_t lower_bound = 0;
   /// Why the run ended (kComplete unless a governor intervened).
   rt::Outcome outcome = rt::Outcome::kComplete;
   /// Unified cost-oracle counters (see eval_context.hpp).
   OracleStats oracle;
-  /// Governor accounting when ctx.gov was non-null.
+  /// Governor accounting when ctx.gov was non-null (and always for `fs`,
+  /// which runs under an unlimited governor of its own otherwise).
   rt::RunStats run;
 };
 

@@ -633,24 +633,5 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
   }
 }
 
-// fs_minimize plumbs checkpoints end to end (the non-ladder entry).
-TEST(MinimizeResume, FsMinimizeRoundTrip) {
-  util::Xoshiro256 rng(32);
-  const tt::TruthTable t = tt::random_function(7, rng);
-  const std::string path = temp_path("fs_min.bin");
-  FsCheckpointOptions ckpt;
-  ckpt.path = path;
-  ckpt.every = 1;
-  const MinimizeResult straight =
-      fs_minimize(t, DiagramKind::kBdd, {}, 0, &ckpt);
-  const FsStarSnapshot snap = load_snapshot(path);
-  FsCheckpointOptions resume;
-  resume.resume = &snap;
-  const MinimizeResult resumed =
-      fs_minimize(t, DiagramKind::kBdd, {}, 0, &resume);
-  EXPECT_EQ(resumed.min_internal_nodes, straight.min_internal_nodes);
-  EXPECT_EQ(resumed.order_root_first, straight.order_root_first);
-}
-
 }  // namespace
 }  // namespace ovo::core

@@ -29,7 +29,9 @@
 #include "reorder/minimize_auto.hpp"
 #include "reorder/oracle.hpp"
 #include "reorder/strategy.hpp"
+#include "rt/fault.hpp"
 #include "tt/function_zoo.hpp"
+#include "util/combinatorics.hpp"
 #include "util/rng.hpp"
 
 namespace ovo::reorder {
@@ -180,8 +182,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, MigrationPins, ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------------
 
-TEST(StrategyRegistry, HasElevenEntriesAndRejectsUnknown) {
-  EXPECT_EQ(strategies().size(), 11u);
+TEST(StrategyRegistry, HasTenEntriesAndRejectsUnknown) {
+  EXPECT_EQ(strategies().size(), 10u);
   EXPECT_EQ(find_strategy("no-such-strategy"), nullptr);
   for (const Strategy& s : strategies()) {
     const Strategy* found = find_strategy(s.name);
@@ -202,7 +204,7 @@ TEST(StrategyRegistry, EveryStrategyMatchesItsDirectCall) {
   };
 
   // Exact engines agree with each other and the registry.
-  for (const char* exact : {"fs", "auto", "bnb", "brute", "quantum"}) {
+  for (const char* exact : {"fs", "bnb", "brute", "quantum"}) {
     const StrategyResult r = run(exact);
     EXPECT_EQ(r.internal_nodes, 36u) << exact;
     EXPECT_TRUE(r.optimal) << exact;
@@ -231,6 +233,71 @@ TEST(StrategyRegistry, EveryStrategyMatchesItsDirectCall) {
         << s.name;
     EXPECT_FALSE(r.order_root_first.empty()) << s.name;
   }
+}
+
+// `fs` runs the governed ladder: a cancel that fires inside the DP (fault
+// injection standing in for SIGINT) stops it, and the run still returns
+// a valid order, that order's exact size and a certified lower bound.
+TEST(StrategyRegistry, FsHonoursCancellation) {
+  util::Xoshiro256 rng(31);
+  const tt::TruthTable f = tt::random_function(8, rng);
+  const Strategy* fs = find_strategy("fs");
+  ASSERT_NE(fs, nullptr);
+  const StrategyOptions opt;
+  EvalContext ctx;
+  const std::uint64_t optimum =
+      core::fs_minimize(f).min_internal_nodes;
+
+  // Count the run's governor checkpoints with a plan that never fires,
+  // then cancel halfway through them: inside the dense DP.
+  std::uint64_t total_checkpoints = 0;
+  {
+    rt::ScopedFaultPlan probe(rt::FaultPlan{});
+    rt::Governor gov(rt::Budget{});
+    ctx.gov = &gov;
+    EXPECT_TRUE(fs->run(f, opt, ctx).optimal);
+    total_checkpoints = probe.checkpoints_seen();
+  }
+  ASSERT_GT(total_checkpoints, 1u);
+
+  rt::CancelToken cancel;
+  rt::FaultPlan plan;
+  plan.cancel_at_checkpoint = total_checkpoints / 2;
+  plan.cancel = &cancel;
+  rt::Budget budget;
+  budget.cancel = &cancel;
+  rt::ScopedFaultPlan scoped(plan);
+  rt::Governor gov(budget);
+  ctx.gov = &gov;
+  const StrategyResult r = fs->run(f, opt, ctx);
+  EXPECT_EQ(r.outcome, rt::Outcome::kCancelled);
+  EXPECT_FALSE(r.optimal);
+  ASSERT_EQ(r.order_root_first.size(), 8u);
+  EXPECT_TRUE(util::is_permutation(r.order_root_first));
+  EXPECT_EQ(r.internal_nodes,
+            core::diagram_size_for_order(f, r.order_root_first));
+  EXPECT_LE(r.lower_bound, optimum);
+}
+
+// A work limit trips `fs` deterministically; the registry run returns
+// what the ladder called directly returns.
+TEST(StrategyRegistry, FsHonoursAWorkLimit) {
+  const tt::TruthTable f = pin_function();
+  const StrategyOptions opt;
+  rt::Governor gov(rt::Budget::with_work_limit(3000));
+  EvalContext ctx;
+  ctx.gov = &gov;
+  const StrategyResult r = find_strategy("fs")->run(f, opt, ctx);
+  EXPECT_EQ(r.outcome, rt::Outcome::kDeadline);
+  EXPECT_FALSE(r.optimal);
+  const auto direct =
+      minimize_auto(f, rt::Budget::with_work_limit(3000), {});
+  EXPECT_EQ(r.order_root_first, direct.value.order_root_first);
+  EXPECT_EQ(r.internal_nodes, direct.value.internal_nodes);
+  EXPECT_EQ(r.lower_bound, direct.value.lower_bound);
+  EXPECT_EQ(r.run.work_units, direct.stats.work_units);
+  EXPECT_EQ(r.internal_nodes,
+            core::diagram_size_for_order(f, r.order_root_first));
 }
 
 TEST(CostOracle, MemoDeterminismAcrossThreadCounts) {

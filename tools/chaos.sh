@@ -54,7 +54,7 @@ else
 fi
 
 # The uninterrupted reference run every resumed run must reproduce.
-"${OVO}" order --strategy auto --prune off --json "${FN}" \
+"${OVO}" order --strategy fs --prune off --json "${FN}" \
   > "${WORK}/straight.json"
 
 runs=0 absorbed=0 io_fail=0 alloc_fail=0 resumed=0
@@ -63,7 +63,7 @@ runs=0 absorbed=0 io_fail=0 alloc_fail=0 resumed=0
 chaos_run() {
   rm -f "${CKPT}" "${CKPT}.tmp"
   local rc=0
-  "${OVO}" order --strategy auto --prune off --json \
+  "${OVO}" order --strategy fs --prune off --json \
     --checkpoint "${CKPT}" "$@" "${FN}" \
     > "${WORK}/out.json" 2> "${WORK}/err.txt" || rc=$?
   runs=$((runs + 1))
@@ -84,7 +84,7 @@ chaos_run() {
   # A failed run that left a snapshot behind must resume to the
   # uninterrupted run's bytes.
   if [[ "${rc}" -ne 0 && -f "${CKPT}" ]]; then
-    "${OVO}" order --strategy auto --prune off --json \
+    "${OVO}" order --strategy fs --prune off --json \
       --resume "${CKPT}" "${FN}" > "${WORK}/resumed.json"
     diff "${WORK}/straight.json" "${WORK}/resumed.json" || {
       echo "FAIL: resume diverged for: $*" >&2

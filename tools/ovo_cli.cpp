@@ -1,7 +1,7 @@
 // ovo — command-line front end for the optimal-variable-ordering library.
 //
-//   ovo order   [--zdd] [--strategy NAME] [--engine fs|bnb|quantum]
-//               [--shared] [--threads N] [--prune off|bounds]
+//   ovo order   [--zdd] [--strategy NAME] [--shared] [--threads N]
+//               [--prune off|bounds]
 //               [--prune-seed NAME] [--timeout-ms N] [--node-limit N]
 //               [--mem-limit-mb N] [--work-limit N] [--json]
 //               [--json-out FILE] [--trace FILE] [--checkpoint FILE]
@@ -16,12 +16,12 @@
 //   ovo --list-strategies               # registered ordering strategies
 //
 // Every minimizer is a named strategy in the reorder::strategies()
-// registry; --strategy selects one directly, and the legacy --engine
-// flag is an alias (fs → "fs", or "auto" when budget or checkpoint flags
-// are present; bnb → "bnb"; quantum → "quantum").  The budget flags
-// bound a run (see docs/INTERNALS.md, "Resource governance"); every
-// strategy then returns its best incumbent plus why it stopped, except
-// `--strategy fs`, which is ungoverned and rejects them (exit 2).  --json
+// registry; --strategy selects one (default `fs`, the exact DP run as the
+// governed ladder).  The budget flags bound a run (see docs/INTERNALS.md,
+// "Resource governance"); every strategy then returns its best incumbent
+// plus why it stopped, and a tripped `fs` run salvages its partial DP.
+// --shared runs the exact shared DP ungoverned, so it rejects the budget
+// flags, --checkpoint/--resume and any other --strategy (exit 2).  --json
 // emits one machine-readable object including the outcome, the certified
 // lower bound, and the unified oracle counters — rendered through the
 // obs shared serializer, so its field names match the scaling benches'
@@ -79,12 +79,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/exec_policy.hpp"
-#include "quantum/min_find.hpp"
-#include "quantum/opt_obdd.hpp"
 #include "quantum/params.hpp"
 #include "reorder/baselines.hpp"
-#include "reorder/branch_and_bound.hpp"
-#include "reorder/minimize_auto.hpp"
 #include "reorder/strategy.hpp"
 #include "rt/budget.hpp"
 #include "rt/checkpoint.hpp"
@@ -278,11 +274,11 @@ void print_strategy_list() {
 
 int cmd_order(const std::vector<std::string>& args) {
   core::DiagramKind kind = core::DiagramKind::kBdd;
-  std::string engine = "fs";
-  std::string strategy_name;
+  std::string strategy_name = "fs";
   bool shared = false;
   bool json = false;
   rt::Budget budget;
+  std::string budget_flag;  // the last budget flag given, for --shared
   par::ExecPolicy exec;
   par::PruneMode prune = par::PruneMode::kOff;
   std::string prune_seed = "sift";
@@ -298,8 +294,6 @@ int cmd_order(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--zdd") {
       kind = core::DiagramKind::kZdd;
-    } else if (args[i] == "--engine" && i + 1 < args.size()) {
-      engine = args[++i];
     } else if (args[i] == "--strategy" && i + 1 < args.size()) {
       strategy_name = args[++i];
     } else if (args[i] == "--list-strategies") {
@@ -325,13 +319,17 @@ int cmd_order(const std::vector<std::string>& args) {
     } else if (args[i] == "--prune-seed" && i + 1 < args.size()) {
       prune_seed = args[++i];
     } else if (args[i] == "--timeout-ms" && i + 1 < args.size()) {
+      budget_flag = args[i];
       budget.deadline_ms = parse_u64_flag("--timeout-ms", args[++i]);
     } else if (args[i] == "--node-limit" && i + 1 < args.size()) {
+      budget_flag = args[i];
       budget.node_limit = parse_u64_flag("--node-limit", args[++i]);
     } else if (args[i] == "--mem-limit-mb" && i + 1 < args.size()) {
+      budget_flag = args[i];
       budget.bytes_limit =
           parse_u64_flag("--mem-limit-mb", args[++i]) * 1024 * 1024;
     } else if (args[i] == "--work-limit" && i + 1 < args.size()) {
+      budget_flag = args[i];
       budget.work_limit = parse_u64_flag("--work-limit", args[++i]);
     } else if (args[i] == "--json-out" && i + 1 < args.size()) {
       json_out = args[++i];
@@ -392,6 +390,21 @@ int cmd_order(const std::vector<std::string>& args) {
   }
   OVO_CHECK_MSG(!input.empty(), "order: missing input");
   exec.prune = prune;  // after the loop: --threads rebuilds ExecPolicy
+  if (shared) {
+    // The shared DP is the ungoverned exact fs over every output.
+    const std::string conflict = !budget_flag.empty()      ? budget_flag
+                                 : !checkpoint_path.empty() ? "--checkpoint"
+                                 : !resume_path.empty()     ? "--resume"
+                                 : strategy_name != "fs"    ? "--strategy"
+                                                            : "";
+    if (!conflict.empty()) {
+      std::fprintf(stderr,
+                   "order: '%s' is not supported with --shared (the "
+                   "shared DP runs exact fs without a governor)\n",
+                   conflict.c_str());
+      return 2;
+    }
+  }
 
   // --trace: start span collection now so strategy setup (seeding, base
   // construction) is on the timeline too; flushed on every exit path.
@@ -405,22 +418,6 @@ int cmd_order(const std::vector<std::string>& args) {
                  "note: --trace ignored (built with -DOVO_TRACE=OFF)\n");
 #endif
   }
-  // `budgeted` reflects the user's explicit limit flags only; the
-  // signal-driven CancelToken attached below must not reroute an
-  // unbudgeted `--engine fs` run onto the governed ladder.
-  const bool budgeted = !budget.unlimited();
-  const bool checkpointing =
-      !checkpoint_path.empty() || !resume_path.empty();
-  // The plain `fs` strategy runs the DP ungoverned, so it rejects budget
-  // flags rather than ignore them; `auto` is the governed exact path.
-  if (strategy_name == "fs" && budgeted) {
-    std::fprintf(stderr,
-                 "--strategy fs does not take --timeout-ms, --node-limit, "
-                 "--mem-limit-mb or --work-limit; use --strategy auto for "
-                 "a budgeted exact run\n");
-    return 2;
-  }
-
   // Graceful interruption: Ctrl-C / SIGTERM trips the CancelToken and
   // the run winds down through the normal cancelled path (snapshot,
   // best-so-far JSON).  --fault-cancel-at trips the same token at a
@@ -440,13 +437,6 @@ int cmd_order(const std::vector<std::string>& args) {
   if (!json) std::printf("input: %s\n", loaded.description.c_str());
 
   if (shared) {
-    if (budgeted)
-      std::fprintf(stderr,
-                   "note: budget flags are not supported with --shared\n");
-    if (checkpointing)
-      std::fprintf(
-          stderr,
-          "note: checkpoint/resume is not supported with --shared\n");
     const auto r = core::fs_minimize_shared(loaded.outputs, kind, exec);
     if (json) {
       emit_json(json_order_string("fs-shared", kind, r.min_internal_nodes,
@@ -468,20 +458,6 @@ int cmd_order(const std::vector<std::string>& args) {
     std::printf("note: %zu outputs; optimizing the first (use --shared "
                 "for all)\n",
                 loaded.outputs.size());
-  // --engine is an alias into the strategy registry; --strategy wins
-  // when both are given.  Checkpoint flags route `fs` onto the governed
-  // `auto` ladder too: only it degrades gracefully on a trip, and a
-  // snapshot's provenance (seed order, incumbent) is its contract.
-  if (strategy_name.empty()) {
-    if (engine == "fs") {
-      strategy_name = (budgeted || checkpointing) ? "auto" : "fs";
-    } else if (engine == "bnb" || engine == "quantum") {
-      strategy_name = engine;
-    } else {
-      std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
-      return 2;
-    }
-  }
   const reorder::Strategy* strategy = reorder::find_strategy(strategy_name);
   if (strategy == nullptr) {
     std::fprintf(stderr,
@@ -643,8 +619,8 @@ void usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  ovo order   [--zdd] [--strategy NAME] [--engine fs|bnb|quantum]\n"
-      "              [--shared] [--threads N] [--prune off|bounds]\n"
+      "  ovo order   [--zdd] [--strategy NAME] [--shared] [--threads N]\n"
+      "              [--prune off|bounds]\n"
       "              [--prune-seed sift|window|restarts|anneal|none]\n"
       "              [--timeout-ms N] [--node-limit N] [--mem-limit-mb N]\n"
       "              [--work-limit N] [--json] [--json-out FILE]\n"

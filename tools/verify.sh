@@ -19,12 +19,14 @@
 # the two scaling benches so the bench JSON surface is exercised too —
 # the FS bench runs with --prune bounds and its rows must carry the
 # pruning ledger — a CLI guard that a bound-pruned `ovo order` run
-# returns the identical order and size as the dense default, and a check
-# that `--strategy fs` rejects every budget flag with exit 2, and that
-# every subcommand rejects an unknown option or a stray argument with
-# exit 2.  Quick mode also smokes `ovo order --trace` at 1 and 2 threads
-# (the exported Chrome trace must be valid JSON with fs.layer spans and
-# per-thread monotone timestamps), builds the OVO_FUZZ targets for a
+# returns the identical order and size as the dense default, a check
+# that `--strategy fs` honours every budget flag and a fault-injected
+# cancel (exit 0 with the tripped outcome), and a check that every
+# subcommand rejects an unknown option or a stray argument, and that
+# `--shared` rejects every flag it cannot honour, with exit 2.  Quick
+# mode also smokes `ovo order --trace` at 1 and 2 threads (the exported
+# Chrome trace must be valid JSON with fs.layer spans and per-thread
+# monotone timestamps), builds the OVO_FUZZ targets for a
 # fixed-seed random smoke plus corpus replay, and runs the trimmed CLI
 # chaos sweep (tools/chaos.sh --quick): torn-write/fault injection
 # through the CLI with typed exit codes and resume-to-identical-bytes
@@ -122,16 +124,25 @@ if [[ "${QUICK}" -eq 1 ]]; then
   # ...and the pruned CLI run must surface its ledger.
   build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
     | grep -q '"states_pruned"'
-  echo "==== quick: budget flags on the ungoverned fs strategy ====="
-  # `--strategy fs` cannot honour a budget, so each budget flag is a
-  # usage error (exit 2) naming the governed `--strategy auto`.
+  echo "==== quick: fs honours budget flags and cancellation ======="
+  # `--strategy fs` runs the governed ladder: every budget flag is taken
+  # (exit 0), a limit that binds returns the salvaged order with
+  # `"optimal":false` and the limit's outcome, and a fault-injected
+  # cancel (standing in for SIGINT) stops the run as "cancelled".
   for flag in --timeout-ms --node-limit --mem-limit-mb --work-limit; do
-    rc=0
-    build/tools/ovo order --strategy fs "${flag}" 100 "${smoke_fn}" \
-      >/dev/null 2>"${smoke_dir}/err.txt" || rc=$?
-    [[ "${rc}" -eq 2 ]]
-    grep -q -- '--strategy auto' "${smoke_dir}/err.txt"
+    build/tools/ovo order --strategy fs "${flag}" 100 --json "${smoke_fn}" \
+      > /dev/null
   done
+  build/tools/ovo order --strategy fs --work-limit 1 --json "${smoke_fn}" \
+    > "${smoke_dir}/budget.json"
+  grep -q '"outcome":"deadline"' "${smoke_dir}/budget.json"
+  grep -q '"optimal":false' "${smoke_dir}/budget.json"
+  build/tools/ovo order --strategy fs --node-limit 1 --json "${smoke_fn}" \
+    > "${smoke_dir}/budget.json"
+  grep -q '"outcome":"node_limit"' "${smoke_dir}/budget.json"
+  grep -q '"optimal":false' "${smoke_dir}/budget.json"
+  build/tools/ovo order --strategy fs --fault-cancel-at 3 --json \
+    "${smoke_fn}" | grep -q '"outcome":"cancelled"'
   echo "==== quick: unknown options are usage errors ==============="
   # A mistyped flag or a stray argument is never read as the input: each
   # subcommand exits 2 with a message naming the argument.
@@ -151,28 +162,36 @@ if [[ "${QUICK}" -eq 1 ]]; then
   expect_usage_error x9 compare "${smoke_fn}" x9
   expect_usage_error --bogus dot --bogus "${smoke_fn}"
   expect_usage_error --kk tables --kk 2
+  expect_usage_error --engine order --engine fs "${smoke_fn}"
+  # --shared runs the exact shared DP without a governor, so every flag
+  # it cannot honour is a usage error naming that flag.
+  for flag in --timeout-ms --node-limit --mem-limit-mb --work-limit \
+      --checkpoint --resume; do
+    expect_usage_error "${flag}" order --shared "${flag}" 1 "${smoke_fn}"
+  done
+  expect_usage_error --strategy order --shared --strategy sift "${smoke_fn}"
   echo "==== quick: checkpoint round-trip smoke ===================="
   # A run interrupted mid-DP (deterministic fault injection standing in
   # for SIGINT) must leave a resumable snapshot, and the resumed run's
   # JSON must be byte-identical to the uninterrupted run's — order, size,
   # and every ledger.  Dense mode: no seed stage, so any trip lands at a
-  # DP layer fence.
+  # DP layer fence.  The runs give no --strategy: the default is `fs`.
   ckpt="${smoke_dir}/smoke.ckpt"
-  build/tools/ovo order --strategy auto --prune off --json "${smoke_fn}" \
+  build/tools/ovo order --prune off --json "${smoke_fn}" \
     > "${smoke_dir}/straight.json"
-  build/tools/ovo order --strategy auto --prune off --json \
+  build/tools/ovo order --prune off --json \
     --checkpoint "${ckpt}" --fault-cancel-at 3 "${smoke_fn}" \
     > "${smoke_dir}/tripped.json"
   grep -q '"outcome":"cancelled"' "${smoke_dir}/tripped.json"
   [[ -f "${ckpt}" ]]
-  build/tools/ovo order --strategy auto --prune off --json \
+  build/tools/ovo order --prune off --json \
     --resume "${ckpt}" "${smoke_fn}" > "${smoke_dir}/resumed.json"
   diff "${smoke_dir}/straight.json" "${smoke_dir}/resumed.json"
   # A corrupted snapshot must be rejected with a typed error (exit 3),
   # never resumed silently.
   printf '\xff' | dd of="${ckpt}" bs=1 seek=200 conv=notrunc 2>/dev/null
   rc=0
-  build/tools/ovo order --strategy auto --prune off --json \
+  build/tools/ovo order --prune off --json \
     --resume "${ckpt}" "${smoke_fn}" >/dev/null 2>"${smoke_dir}/err.txt" \
     || rc=$?
   [[ "${rc}" -eq 3 ]]
